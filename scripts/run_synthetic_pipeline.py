@@ -4,12 +4,16 @@
 Generates a scenario (the built-in demo unless --scenario is given), then
 runs ingest, categorize, assemble, decompose, train-baseline, analyze,
 train-risk, score, and report in order, leaving all intermediate files in
-the chosen working directory for inspection.
+the chosen working directory for inspection. Ends by printing the sha256 of
+every file under the working directory, sorted by path, so two runs (say,
+before and after a refactor, each with a fresh working directory of the
+same name) compare with one ``diff`` of their output.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import sys
 from pathlib import Path
 
@@ -111,6 +115,14 @@ def run(workdir: Path, scenario: str | None, seed: int) -> None:
         ]
     )
     print(f"\ndone; analyze exit code was {verdict} (3 means degraded commits found)")
+    print_hashes(workdir)
+
+
+def print_hashes(workdir: Path) -> None:
+    print("\noutput sha256:")
+    for path in sorted(p for p in workdir.rglob("*") if p.is_file()):
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        print(f"{digest}  {path.relative_to(workdir).as_posix()}")
 
 
 if __name__ == "__main__":

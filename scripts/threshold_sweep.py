@@ -80,9 +80,7 @@ def main() -> None:
         rows = build_rows(corpus)
 
         matrix = baseline.build_feature_matrix(
-            [f"{r.day}/{r.time}" for r in rows],
-            assemble.ENV_FEATURES,
-            [r.env for r in rows],
+            assemble.ENV_FEATURES, [r.env for r in rows]
         )
         y = np.array([r.efficiency for r in rows], dtype=float)
         expected = baseline.cross_fit_predictions(

@@ -73,20 +73,23 @@ class AnalysisRow:
     def decode(cls, record: dict) -> "AnalysisRow":
         if record.get("kind") != "analysis_row":
             raise DataError(f"expected analysis_row record, got {record.get('kind')!r}")
-        return cls(
-            day=record["day"],
-            time=record["time"],
-            commit_hash=record["commit_hash"],
-            test_epoch=float(record["test_epoch"]),
-            deploy_epoch=float(record["deploy_epoch"]),
-            target_rate=float(record["target_rate"]),
-            efficiency=float(record["efficiency"]),
-            packet_loss=record.get("packet_loss"),
-            jitter=record.get("jitter"),
-            env={k: record["env"].get(k) for k in ENV_FEATURES},
-            commit={k: float(record["commit"][k]) for k in FEATURE_NAMES},
-            expected_efficiency=record.get("expected_efficiency"),
-        )
+        try:
+            return cls(
+                day=record["day"],
+                time=record["time"],
+                commit_hash=record["commit_hash"],
+                test_epoch=float(record["test_epoch"]),
+                deploy_epoch=float(record["deploy_epoch"]),
+                target_rate=float(record["target_rate"]),
+                efficiency=float(record["efficiency"]),
+                packet_loss=record.get("packet_loss"),
+                jitter=record.get("jitter"),
+                env={k: record["env"].get(k) for k in ENV_FEATURES},
+                commit={k: float(record["commit"][k]) for k in FEATURE_NAMES},
+                expected_efficiency=record.get("expected_efficiency"),
+            )
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise DataError(f"malformed analysis_row record: {exc!r}") from exc
 
 
 def env_snapshot(record: TestRecord) -> dict[str, float | None]:
@@ -153,8 +156,10 @@ def assemble_rows(
 
 
 def load_rows(path) -> list[AnalysisRow]:
+    """Analysis rows of a file, sorted by (test epoch, commit hash)."""
     records = read_records(path, kind="analysis_row")
     rows = [AnalysisRow.decode(r) for r in records]
     if not rows:
         raise DataError(f"no analysis rows in {path}")
+    rows.sort(key=lambda r: (r.test_epoch, r.commit_hash))
     return rows

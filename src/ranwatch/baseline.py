@@ -5,25 +5,24 @@ radio conditions and offered load alone. Commit features are excluded on
 purpose: the model answers "what should this environment deliver", and
 deviations from it are what the residual stage attributes to code.
 
-Training data never leaves process memory unordered: rows are assumed
-chronologically sorted, and both the held-out split and the cross-fit
-folds cut along that order so a model never sees the future of the rows
-it predicts.
+Rows are assumed chronologically sorted. The held-out split is
+forward-only: the model trains on the earliest rows and is scored on the
+latest. Cross-fit folds are contiguous blocks in that order, but each
+block is predicted by a model trained on the blocks on both sides of it,
+so it does see the future; it never sees the rows it predicts.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .store import SCHEMA_VERSION, dumps_record
-from .trees import Tree, grow_tree
+from .trees import Tree, Vectorizer, grow_tree, load_ensemble
 
 MIN_TRAINING_ROWS = 50
 MIN_FOLD_ROWS = 10
@@ -52,47 +51,35 @@ class BaselineParams:
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    ids: tuple[str, ...]
-    columns: tuple[str, ...]
+    vectorizer: Vectorizer
     values: np.ndarray  # (n, d) float, fully imputed
-    imputation: dict[str, float]
 
 
-def build_feature_matrix(
-    ids: list[str],
-    columns: tuple[str, ...],
-    raw_rows: list[dict],
-) -> FeatureMatrix:
+def build_feature_matrix(columns: tuple[str, ...], raw_rows: list[dict]) -> FeatureMatrix:
     """Stack row dicts into a dense matrix, median-imputing gaps.
 
-    The imputation table is computed here and stored with the model so
-    scoring applies the same fill values the training data saw. A column
-    with no observed values at all imputes to 0.0.
+    The fill values are computed here, and only here, and travel with the
+    model in its vectorizer, so scoring fills the same gaps the same way
+    the training data saw them. A column with no observed values at all
+    imputes to 0.0.
     """
-    if len(ids) != len(raw_rows):
-        raise DataError("ids and rows length mismatch")
     if not raw_rows:
         raise DataError("no rows to build a feature matrix from")
-    n, d = len(raw_rows), len(columns)
-    values = np.full((n, d), np.nan, dtype=float)
-    for i, row in enumerate(raw_rows):
-        for j, col in enumerate(columns):
-            v = row.get(col)
-            if v is not None:
-                values[i, j] = float(v)
+    columns = tuple(columns)
+    raw = Vectorizer(columns, dict.fromkeys(columns, math.nan)).transform(raw_rows)
     imputation: dict[str, float] = {}
     for j, col in enumerate(columns):
-        observed = values[:, j][~np.isnan(values[:, j])]
-        fill = float(np.median(observed)) if observed.size else 0.0
-        imputation[col] = fill
-        values[np.isnan(values[:, j]), j] = fill
-    return FeatureMatrix(tuple(ids), tuple(columns), values, imputation)
+        observed = raw[:, j][~np.isnan(raw[:, j])]
+        imputation[col] = float(np.median(observed)) if observed.size else 0.0
+    vectorizer = Vectorizer(columns, imputation)
+    return FeatureMatrix(vectorizer, vectorizer.transform(raw_rows))
 
 
 @dataclass(frozen=True)
 class BaselineModel:
-    columns: tuple[str, ...]
-    imputation: dict[str, float]
+    KIND: ClassVar[str] = "baseline_model"
+
+    vectorizer: Vectorizer
     params: BaselineParams
     seed: int
     trees: tuple[Tree, ...]
@@ -133,8 +120,7 @@ def train_baseline(
             )
         )
     return BaselineModel(
-        columns=matrix.columns,
-        imputation=dict(matrix.imputation),
+        vectorizer=matrix.vectorizer,
         params=params,
         seed=seed,
         trees=tuple(trees),
@@ -152,28 +138,12 @@ def predict_matrix(model: BaselineModel, X: np.ndarray) -> np.ndarray:
     the degenerate all-negative-target case.
     """
     X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != len(model.columns):
+    if X.ndim != 2 or X.shape[1] != len(model.vectorizer.columns):
         raise DataError("prediction input has wrong number of columns")
     acc = np.zeros(X.shape[0], dtype=float)
     for tree in model.trees:
         acc += tree.predict(X)
     return np.maximum(acc / len(model.trees), 0.0)
-
-
-def vectorize_row(model: BaselineModel, row: dict) -> np.ndarray:
-    out = np.empty(len(model.columns), dtype=float)
-    for j, col in enumerate(model.columns):
-        v = row.get(col)
-        if v is None:
-            if col not in model.imputation:
-                raise DataError(f"no value or imputation entry for column {col}")
-            v = model.imputation[col]
-        out[j] = float(v)
-    return out
-
-
-def predict_row(model: BaselineModel, row: dict) -> float:
-    return float(predict_matrix(model, vectorize_row(model, row)[None, :])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -242,78 +212,15 @@ def cross_fit_predictions(
     for i in range(k_folds):
         lo, hi = bounds[i], bounds[i + 1]
         train_idx = np.concatenate([np.arange(0, lo), np.arange(hi, n)])
-        train_matrix = FeatureMatrix(
-            ids=tuple(matrix.ids[j] for j in train_idx),
-            columns=matrix.columns,
-            values=matrix.values[train_idx],
-            imputation=matrix.imputation,
-        )
+        train_matrix = FeatureMatrix(matrix.vectorizer, matrix.values[train_idx])
         model = train_baseline(train_matrix, y[train_idx], params, seed)
         out[lo:hi] = predict_matrix(model, matrix.values[lo:hi])
     return out
 
 
 # ---------------------------------------------------------------------------
-# persistence
-
-MODEL_KIND = "baseline_model"
-
-
-def save_model(model: BaselineModel, path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(dumps_record(_model_record(model)) + "\n", encoding="utf-8")
-
-
-def _model_record(model: BaselineModel) -> dict:
-    return {
-        "kind": MODEL_KIND,
-        "columns": list(model.columns),
-        "imputation": model.imputation,
-        "hyperparameters": {
-            "n_trees": model.params.n_trees,
-            "max_depth": model.params.max_depth,
-            "min_samples_leaf": model.params.min_samples_leaf,
-            "feature_fraction": model.params.feature_fraction,
-            "seed": model.seed,
-        },
-        "target_floor": model.target_floor,
-        "target_ceiling": model.target_ceiling,
-        "meta": model.meta,
-        "trees": [tree.to_dict() for tree in model.trees],
-    }
+# persistence (the file layout lives in trees.ensemble_record)
 
 
 def load_model(path: str | Path) -> BaselineModel:
-    path = Path(path)
-    if not path.is_file():
-        raise DataError(f"model file not found: {path}")
-    try:
-        record = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: invalid model JSON: {exc}") from exc
-    if record.get("kind") != MODEL_KIND:
-        raise DataError(f"{path}: not a baseline model file")
-    if record.get("schema_version") != SCHEMA_VERSION:
-        raise DataError(f"{path}: unsupported schema version")
-    hp = record["hyperparameters"]
-    params = BaselineParams(
-        n_trees=int(hp["n_trees"]),
-        max_depth=int(hp["max_depth"]),
-        min_samples_leaf=int(hp["min_samples_leaf"]),
-        feature_fraction=hp.get("feature_fraction"),
-    )
-    return BaselineModel(
-        columns=tuple(record["columns"]),
-        imputation={k: float(v) for k, v in record["imputation"].items()},
-        params=params,
-        seed=int(hp["seed"]),
-        trees=tuple(Tree.from_dict(t) for t in record["trees"]),
-        target_floor=float(record["target_floor"]),
-        target_ceiling=float(record["target_ceiling"]),
-        meta=dict(record.get("meta", {})),
-    )
-
-
-def model_hash(model: BaselineModel) -> str:
-    return hashlib.sha256(dumps_record(_model_record(model)).encode("utf-8")).hexdigest()
+    return load_ensemble(path, BaselineModel)

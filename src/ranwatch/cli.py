@@ -31,6 +31,7 @@ from . import stats
 from . import synthgen
 from .errors import ConfigError, DataError, RanwatchError
 from .store import load_commits, read_records, write_records
+from .trees import ensemble_hash, save_ensemble
 
 EXIT_OK = 0
 EXIT_DATA = 1
@@ -81,6 +82,37 @@ def _resolve(args: argparse.Namespace, cfg: dict, name: str, default):
     if name in cfg:
         return cfg[name]
     return default
+
+
+def _params(cls, args: argparse.Namespace, cfg: dict, options: dict[str, str]):
+    """A parameter dataclass from the flags or config keys that are set.
+
+    ``options`` maps a field of ``cls`` to its flag and config name. A field
+    no flag or key sets keeps its dataclass default, the one place defaults
+    live; a set value is converted to the type of that default.
+    """
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    kwargs = {}
+    for name, option in options.items():
+        value = _resolve(args, cfg, option, None)
+        if value is not None:
+            try:
+                kwargs[name] = type(defaults[name])(value)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{option}: {exc}") from exc
+    return cls(**kwargs)
+
+
+# parameter field -> flag and config name
+_BASELINE_OPTIONS = {"n_trees": "trees", "max_depth": "depth"}
+_RISK_OPTIONS = {
+    "n_estimators": "estimators",
+    "max_depth": "depth",
+    "learning_rate": "learning_rate",
+    "min_samples_leaf": "min_samples_leaf",
+    "smote_k": "smote_k",
+}
+_THRESHOLD_OPTIONS = {"ratio_floor": "ratio_floor", "min_expected_efficiency": "min_expected"}
 
 
 def _make_refine_client(mode: str, retries: int) -> refine.RefinementClient | None:
@@ -249,23 +281,17 @@ def _discretize_column(values: np.ndarray, n_bins: int, name: str) -> np.ndarray
 
 def _decomposition_groups(rows: list) -> dict[str, list[tuple[str, np.ndarray]]]:
     """Raw factor columns per group, median-imputed where measurements gap."""
-    n = len(rows)
     groups: dict[str, list[tuple[str, np.ndarray]]] = {
         "channel": [],
         "load": [],
         "code": [],
     }
-    for col in _CHANNEL_COLUMNS + _LOAD_COLUMNS:
-        values = np.full(n, np.nan)
-        for i, row in enumerate(rows):
-            v = row.env.get(col)
-            if v is not None:
-                values[i] = float(v)
-        observed = values[~np.isnan(values)]
-        fill = float(np.median(observed)) if observed.size else 0.0
-        values[np.isnan(values)] = fill
+    env = baseline_mod.build_feature_matrix(
+        _CHANNEL_COLUMNS + _LOAD_COLUMNS, [row.env for row in rows]
+    )
+    for j, col in enumerate(env.vectorizer.columns):
         group = "load" if col in _LOAD_COLUMNS else "channel"
-        groups[group].append((col, values))
+        groups[group].append((col, env.values[:, j]))
     for name in commitcat.FEATURE_NAMES[: len(commitcat.CATEGORIES)]:
         values = np.array([row.commit[name] for row in rows], dtype=float)
         groups["code"].append((name, values))
@@ -324,23 +350,20 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def _env_matrix(rows: list) -> baseline_mod.FeatureMatrix:
-    ids = [f"{row.day}/{row.time}" for row in rows]
     return baseline_mod.build_feature_matrix(
-        ids, assemble_mod.ENV_FEATURES, [row.env for row in rows]
+        assemble_mod.ENV_FEATURES, [row.env for row in rows]
     )
+
+
 
 
 def _cmd_train_baseline(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     seed = int(_resolve(args, cfg, "seed", 0))
-    params = baseline_mod.BaselineParams(
-        n_trees=int(_resolve(args, cfg, "trees", 100)),
-        max_depth=int(_resolve(args, cfg, "depth", 8)),
-        min_samples_leaf=int(_resolve(args, cfg, "min_samples_leaf", 1)),
-    )
+    options = {**_BASELINE_OPTIONS, "min_samples_leaf": "min_samples_leaf"}
+    params = _params(baseline_mod.BaselineParams, args, cfg, options)
     test_fraction = float(_resolve(args, cfg, "test_fraction", 0.2))
     rows = assemble_mod.load_rows(args.rows)
-    rows.sort(key=lambda r: (r.test_epoch, r.commit_hash))
     train_idx, test_idx = baseline_mod.chronological_split(len(rows), test_fraction)
     train_rows = [rows[i] for i in train_idx]
     test_rows = [rows[i] for i in test_idx]
@@ -348,23 +371,21 @@ def _cmd_train_baseline(args: argparse.Namespace) -> int:
     y_train = np.array([r.efficiency for r in train_rows], dtype=float)
     model = baseline_mod.train_baseline(matrix, y_train, params, seed)
 
-    X_test = np.vstack(
-        [baseline_mod.vectorize_row(model, r.env) for r in test_rows]
-    )
+    X_test = model.vectorizer.transform([r.env for r in test_rows])
     y_test = np.array([r.efficiency for r in test_rows], dtype=float)
     pred = baseline_mod.predict_matrix(model, X_test)
     eff_metrics = baseline_mod.regression_metrics(y_test, pred)
     rates = np.array([r.target_rate for r in test_rows], dtype=float)
     mbps_metrics = baseline_mod.regression_metrics(y_test * rates, pred * rates)
 
-    baseline_mod.save_model(model, args.out)
+    save_ensemble(model, args.out)
     metric_rows = [
         ("efficiency", eff_metrics.r2, eff_metrics.mae, eff_metrics.rmse, eff_metrics.n),
         ("mbps", mbps_metrics.r2, mbps_metrics.mae, mbps_metrics.rmse, mbps_metrics.n),
     ]
     if args.metrics:
         _write_tsv(Path(args.metrics), ("unit", "r2", "mae", "rmse", "n"), metric_rows)
-    print(f"model: {args.out} (hash {baseline_mod.model_hash(model)[:12]})")
+    print(f"model: {args.out} (hash {ensemble_hash(model)[:12]})")
     for unit, r2, mae, rmse, n in metric_rows:
         print(f"held-out {unit}: r2={r2:.4f} mae={mae:.4g} rmse={rmse:.4g} n={n}")
     return EXIT_OK
@@ -372,27 +393,20 @@ def _cmd_train_baseline(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
-    thresholds = residual_mod.Thresholds(
-        ratio_floor=float(_resolve(args, cfg, "ratio_floor", 0.9)),
-        min_expected_efficiency=float(_resolve(args, cfg, "min_expected", 0.6)),
-    )
+    thresholds = _params(residual_mod.Thresholds, args, cfg, _THRESHOLD_OPTIONS)
     min_degraded = int(_resolve(args, cfg, "min_degraded", 2))
     seed = int(_resolve(args, cfg, "seed", 0))
     k_folds = int(_resolve(args, cfg, "k_folds", 5))
     rows = assemble_mod.load_rows(args.rows)
-    rows.sort(key=lambda r: (r.test_epoch, r.commit_hash))
 
     if args.model:
         model = baseline_mod.load_model(args.model)
-        X = np.vstack([baseline_mod.vectorize_row(model, r.env) for r in rows])
+        X = model.vectorizer.transform([r.env for r in rows])
         expected = baseline_mod.predict_matrix(model, X)
     else:
         matrix = _env_matrix(rows)
         y = np.array([r.efficiency for r in rows], dtype=float)
-        params = baseline_mod.BaselineParams(
-            n_trees=int(_resolve(args, cfg, "trees", 100)),
-            max_depth=int(_resolve(args, cfg, "depth", 8)),
-        )
+        params = _params(baseline_mod.BaselineParams, args, cfg, _BASELINE_OPTIONS)
         expected = baseline_mod.cross_fit_predictions(
             matrix, y, params, seed, k_folds=k_folds
         )
@@ -474,15 +488,8 @@ def _cmd_train_risk(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     seed = int(_resolve(args, cfg, "seed", 0))
     test_fraction = float(_resolve(args, cfg, "test_fraction", 0.2))
-    params = risk_mod.RiskParams(
-        n_estimators=int(_resolve(args, cfg, "estimators", 400)),
-        max_depth=int(_resolve(args, cfg, "depth", 4)),
-        learning_rate=float(_resolve(args, cfg, "learning_rate", 0.1)),
-        min_samples_leaf=int(_resolve(args, cfg, "min_samples_leaf", 5)),
-        smote_k=int(_resolve(args, cfg, "smote_k", 5)),
-    )
+    params = _params(risk_mod.RiskParams, args, cfg, _RISK_OPTIONS)
     rows = assemble_mod.load_rows(args.rows)
-    rows.sort(key=lambda r: (r.test_epoch, r.commit_hash))
     label_records = read_records(args.labels, kind="label")
     degraded_by_test = {
         (r["day"], r["time"]): bool(r["degraded"]) for r in label_records
@@ -498,31 +505,22 @@ def _cmd_train_risk(args: argparse.Namespace) -> int:
     train_idx, test_idx = baseline_mod.chronological_split(len(rows), test_fraction)
     train_rows = [rows[i] for i in train_idx]
     matrix = baseline_mod.build_feature_matrix(
-        [f"{r.day}/{r.time}" for r in train_rows],
-        _RISK_COLUMNS,
-        [{**r.env, **r.commit} for r in train_rows],
+        _RISK_COLUMNS, [{**r.env, **r.commit} for r in train_rows]
     )
     y_train = y_all[train_idx]
     X_bal, y_bal, synthetic = risk_mod.balance_training_set(
         matrix.values, y_train, params, seed, _risk_binary_slots()
     )
-    model = risk_mod.train_risk(X_bal, y_bal, params, seed, columns=_RISK_COLUMNS)
-    model.meta["imputation"] = dict(matrix.imputation)
+    model = risk_mod.train_risk(X_bal, y_bal, params, seed, matrix.vectorizer)
     model.meta["n_synthetic"] = int(synthetic.sum())
-    risk_mod.save_model(model, args.out)
+    save_ensemble(model, args.out)
 
     test_rows = [rows[i] for i in test_idx]
-    fills = matrix.imputation
-    X_test = np.empty((len(test_rows), len(_RISK_COLUMNS)), dtype=float)
-    for i, r in enumerate(test_rows):
-        merged = {**r.env, **r.commit}
-        for j, c in enumerate(_RISK_COLUMNS):
-            v = merged.get(c)
-            X_test[i, j] = fills[c] if v is None else float(v)
+    X_test = model.vectorizer.transform([{**r.env, **r.commit} for r in test_rows])
     y_test = y_all[test_idx]
     metrics = risk_mod.evaluate_classifier(model, X_test, y_test)
     lines = [
-        f"model: {args.out} (hash {risk_mod.model_hash(model)[:12]})",
+        f"model: {args.out} (hash {ensemble_hash(model)[:12]})",
         f"train: {len(train_rows)} rows ({int(synthetic.sum())} synthetic added), "
         f"test: {len(test_rows)} rows",
         f"held-out accuracy {metrics.accuracy:.4f}, confusion {metrics.confusion}",
@@ -564,27 +562,13 @@ def _cmd_score(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     threshold = float(_resolve(args, cfg, "threshold", 0.5))
     model = risk_mod.load_model(args.model)
-    fills = model.meta.get("imputation")
-    if not isinstance(fills, dict):
-        raise DataError("risk model has no imputation table, retrain it")
     feature_records = read_records(args.features, kind="commit_features")
     if not feature_records:
         raise DataError(f"no commit features in {args.features}")
-    out_rows = []
-    for record in feature_records:
-        features = commitcat.CommitFeatures.decode(record)
-        merged = dict(features.as_dict())
-        x = np.array(
-            [
-                [
-                    float(merged[c]) if c in merged else float(fills[c])
-                    for c in model.columns
-                ]
-            ],
-            dtype=float,
-        )
-        proba = float(risk_mod.predict_proba(model, x)[0])
-        out_rows.append((features.commit_hash, proba, proba >= threshold))
+    features = [commitcat.CommitFeatures.decode(r) for r in feature_records]
+    X = model.vectorizer.transform([f.as_dict() for f in features])
+    proba = risk_mod.predict_proba(model, X).tolist()
+    out_rows = [(f.commit_hash, p, p >= threshold) for f, p in zip(features, proba)]
     out_rows.sort(key=lambda r: (-r[1], r[0]))
     _write_tsv(Path(args.out), ("commit_hash", "risk", "flagged"), out_rows)
     flagged = sum(1 for r in out_rows if r[2])
@@ -594,10 +578,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
-    thresholds = residual_mod.Thresholds(
-        ratio_floor=float(_resolve(args, cfg, "ratio_floor", 0.9)),
-        min_expected_efficiency=float(_resolve(args, cfg, "min_expected", 0.6)),
-    )
+    thresholds = _params(residual_mod.Thresholds, args, cfg, _THRESHOLD_OPTIONS)
     labels = [
         residual_mod.DegradationLabel.decode(r)
         for r in read_records(args.labels, kind="label")

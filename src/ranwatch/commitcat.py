@@ -389,23 +389,6 @@ def load_rule_config(path: str | Path) -> RuleConfig:
 # scoring
 
 
-def keyword_score(message: str, rules: Sequence[KeywordRule], category: str) -> float:
-    """Weighted keyword score of one category for one commit message."""
-    text = message.lower()
-    score = 0.0
-    seen: set[str] = set()
-    for rule in rules:
-        if rule.category != category:
-            continue
-        key = rule.keyword.lower()
-        if key in seen:
-            continue
-        if key in text:
-            seen.add(key)
-            score += rule.weight
-    return score
-
-
 def detect_change_type(message: str, rules: Sequence[tuple[str, str]]) -> str:
     """First change type in priority order with any keyword evidence."""
     text = message.lower()

@@ -84,19 +84,22 @@ class DegradationLabel:
     def decode(cls, record: dict) -> "DegradationLabel":
         if record.get("kind") != "label":
             raise DataError(f"expected label record, got {record.get('kind')!r}")
-        return cls(
-            day=record["day"],
-            time=record["time"],
-            commit_hash=record["commit_hash"],
-            test_epoch=float(record["test_epoch"]),
-            deploy_epoch=float(record["deploy_epoch"]),
-            ratio=float(record["ratio"]),
-            expected_efficiency=float(record["expected_efficiency"]),
-            measured_efficiency=float(record["measured_efficiency"]),
-            degraded=bool(record["degraded"]),
-            gating=record["gating"],
-            attributed_layers=tuple(record["attributed_layers"]),
-        )
+        try:
+            return cls(
+                day=record["day"],
+                time=record["time"],
+                commit_hash=record["commit_hash"],
+                test_epoch=float(record["test_epoch"]),
+                deploy_epoch=float(record["deploy_epoch"]),
+                ratio=float(record["ratio"]),
+                expected_efficiency=float(record["expected_efficiency"]),
+                measured_efficiency=float(record["measured_efficiency"]),
+                degraded=bool(record["degraded"]),
+                gating=record["gating"],
+                attributed_layers=tuple(record["attributed_layers"]),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"malformed label record: {exc!r}") from exc
 
 
 def classify(ratio: float, expected: float, thresholds: Thresholds) -> str:

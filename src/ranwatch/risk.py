@@ -10,17 +10,15 @@ them; metrics computed on invented data are not metrics.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .store import SCHEMA_VERSION, dumps_record
-from .trees import Tree, grow_tree
+from .trees import Tree, Vectorizer, grow_tree, load_ensemble
 
 _LEAF_HESSIAN_FLOOR = 1e-6
 
@@ -139,7 +137,9 @@ def balance_training_set(
 
 @dataclass(frozen=True)
 class RiskModel:
-    columns: tuple[str, ...]
+    KIND: ClassVar[str] = "risk_model"
+
+    vectorizer: Vectorizer
     params: RiskParams
     seed: int
     f0: float
@@ -167,7 +167,7 @@ def train_risk(
     y: np.ndarray,
     params: RiskParams,
     seed: int,
-    columns: tuple[str, ...] | None = None,
+    vectorizer: Vectorizer,
 ) -> RiskModel:
     """Boost log-odds with second-order leaf values.
 
@@ -185,9 +185,7 @@ def train_risk(
         raise DataError("labels must be binary 0/1")
     if labels != {0, 1}:
         raise DataError("both classes must be present to train")
-    if columns is None:
-        columns = tuple(f"x{j}" for j in range(X.shape[1]))
-    if len(columns) != X.shape[1]:
+    if len(vectorizer.columns) != X.shape[1]:
         raise DataError("column names do not match feature matrix width")
 
     w = _class_weights(y, params.class_weight)
@@ -216,7 +214,7 @@ def train_risk(
         f = f + params.learning_rate * tree.value[leaf_ids]
         trees.append(tree)
     return RiskModel(
-        columns=tuple(columns),
+        vectorizer=vectorizer,
         params=params,
         seed=seed,
         f0=f0,
@@ -227,7 +225,7 @@ def train_risk(
 
 def decision_function(model: RiskModel, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != len(model.columns):
+    if X.ndim != 2 or X.shape[1] != len(model.vectorizer.columns):
         raise DataError("prediction input has wrong number of columns")
     f = np.full(X.shape[0], model.f0, dtype=float)
     for tree in model.trees:
@@ -237,11 +235,6 @@ def decision_function(model: RiskModel, X: np.ndarray) -> np.ndarray:
 
 def predict_proba(model: RiskModel, X: np.ndarray) -> np.ndarray:
     return _sigmoid(decision_function(model, X))
-
-
-def predict_risk(model: RiskModel, row: dict) -> float:
-    x = np.array([[float(row[c]) for c in model.columns]], dtype=float)
-    return float(predict_proba(model, x)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -331,66 +324,8 @@ def roc_auc(y_true: np.ndarray, scores: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# persistence
-
-MODEL_KIND = "risk_model"
-
-
-def _model_record(model: RiskModel) -> dict:
-    return {
-        "kind": MODEL_KIND,
-        "columns": list(model.columns),
-        "hyperparameters": {
-            "n_estimators": model.params.n_estimators,
-            "max_depth": model.params.max_depth,
-            "learning_rate": model.params.learning_rate,
-            "min_samples_leaf": model.params.min_samples_leaf,
-            "smote_k": model.params.smote_k,
-            "class_weight": model.params.class_weight,
-            "seed": model.seed,
-        },
-        "f0": model.f0,
-        "meta": model.meta,
-        "trees": [tree.to_dict() for tree in model.trees],
-    }
-
-
-def save_model(model: RiskModel, path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(dumps_record(_model_record(model)) + "\n", encoding="utf-8")
+# persistence (the file layout lives in trees.ensemble_record)
 
 
 def load_model(path: str | Path) -> RiskModel:
-    path = Path(path)
-    if not path.is_file():
-        raise DataError(f"model file not found: {path}")
-    try:
-        record = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: invalid model JSON: {exc}") from exc
-    if record.get("kind") != MODEL_KIND:
-        raise DataError(f"{path}: not a risk model file")
-    if record.get("schema_version") != SCHEMA_VERSION:
-        raise DataError(f"{path}: unsupported schema version")
-    hp = record["hyperparameters"]
-    params = RiskParams(
-        n_estimators=int(hp["n_estimators"]),
-        max_depth=int(hp["max_depth"]),
-        learning_rate=float(hp["learning_rate"]),
-        min_samples_leaf=int(hp["min_samples_leaf"]),
-        smote_k=int(hp["smote_k"]),
-        class_weight=str(hp["class_weight"]),
-    )
-    return RiskModel(
-        columns=tuple(record["columns"]),
-        params=params,
-        seed=int(hp["seed"]),
-        f0=float(record["f0"]),
-        trees=tuple(Tree.from_dict(t) for t in record["trees"]),
-        meta=dict(record.get("meta", {})),
-    )
-
-
-def model_hash(model: RiskModel) -> str:
-    return hashlib.sha256(dumps_record(_model_record(model)).encode("utf-8")).hexdigest()
+    return load_ensemble(path, RiskModel)

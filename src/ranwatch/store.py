@@ -51,17 +51,6 @@ def write_records(path: str | Path, records: Iterable[dict]) -> int:
     return n
 
 
-def append_records(path: str | Path, records: Iterable[dict]) -> int:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    n = 0
-    with open(path, "a", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(dumps_record(record) + "\n")
-            n += 1
-    return n
-
-
 def read_records(path: str | Path, kind: str | None = None) -> list[dict]:
     path = Path(path)
     if not path.is_file():

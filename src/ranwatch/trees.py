@@ -5,13 +5,51 @@ tie-breaking (first feature in candidate order, then lowest threshold), so
 the same data, hyperparameters, and seed always produce the same tree.
 Nodes are stored as flat parallel arrays, which keeps prediction a handful
 of vectorized gather steps and makes JSON serialization lossless.
+
+Both tree-ensemble models (the environment baseline and the commit risk
+classifier) also share two pieces kept here: the ``Vectorizer`` that turns
+row dicts into a model's input matrix with its fill values, and the
+ensemble codec that writes, reads back, validates, and hashes a model file.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+import hashlib
+import json
+import math
+import typing
 from dataclasses import dataclass
+from pathlib import Path
+from typing import Sequence
 
 import numpy as np
+
+from .errors import DataError, RanwatchError
+from .store import SCHEMA_VERSION, dumps_record
+
+
+@dataclass(frozen=True)
+class Vectorizer:
+    """Column order and fill values of a model's input.
+
+    ``transform`` is the one place rows become a matrix: a value that is
+    None, NaN, or absent takes its column's fill value.
+    """
+
+    columns: tuple[str, ...]
+    imputation: dict[str, float]
+
+    def transform(self, rows: Sequence[dict]) -> np.ndarray:
+        out = np.empty((len(rows), len(self.columns)), dtype=float)
+        try:
+            for j, col in enumerate(self.columns):
+                out[:, j] = [math.nan if (v := row.get(col)) is None else v for row in rows]
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"non-numeric value in column {col}: {exc}") from exc
+        fills = np.array([self.imputation[col] for col in self.columns], dtype=float)
+        return np.where(np.isnan(out), fills, out)
 
 
 @dataclass
@@ -181,3 +219,135 @@ def grow_tree(
         right=np.asarray(right, dtype=np.int64),
         value=np.asarray(value, dtype=float),
     )
+
+
+# ---------------------------------------------------------------------------
+# model files
+
+# Fields every ensemble model dataclass has; its other fields are floats
+# stored at the top level of the record (``f0``, ``target_floor``, ...).
+_ENSEMBLE_FIELDS = ("vectorizer", "params", "seed", "trees", "meta")
+
+
+def _scalar_fields(model_cls: type) -> list[str]:
+    return [f.name for f in dataclasses.fields(model_cls) if f.name not in _ENSEMBLE_FIELDS]
+
+
+def ensemble_record(model) -> dict:
+    """The JSON record of a model; its class names the record's ``KIND``."""
+    record = {
+        "kind": model.KIND,
+        "columns": list(model.vectorizer.columns),
+        "imputation": model.vectorizer.imputation,
+        "hyperparameters": {**dataclasses.asdict(model.params), "seed": model.seed},
+        "meta": model.meta,
+        "trees": [tree.to_dict() for tree in model.trees],
+    }
+    for name in _scalar_fields(type(model)):
+        record[name] = getattr(model, name)
+    return record
+
+
+def save_ensemble(model, path: str | Path) -> None:
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(dumps_record(ensemble_record(model)) + "\n", encoding="utf-8")
+
+
+def ensemble_hash(model) -> str:
+    return hashlib.sha256(dumps_record(ensemble_record(model)).encode("utf-8")).hexdigest()
+
+
+def _number(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _check_trees(trees: tuple[Tree, ...], n_columns: int) -> None:
+    """Reject trees that prediction could not walk, all trees in one pass.
+
+    Children come after their parent, as ``grow_tree`` numbers them, so
+    every walk from the root ends at a leaf.
+    """
+    if not trees:
+        raise ValueError("model has no trees")
+    shapes = [tree.value.shape for tree in trees]
+    if any(len(n) != 1 or n[0] == 0 for n in shapes) or any(
+        [getattr(tree, name).shape for tree in trees] != shapes
+        for name in ("feature", "threshold", "left", "right")
+    ):
+        raise ValueError("tree node arrays must be non-empty and of one length")
+    sizes = [n[0] for n in shapes]
+    size = np.repeat(sizes, sizes)
+    node = np.arange(size.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    feature = np.concatenate([tree.feature for tree in trees])
+    split = feature >= 0
+    node, size = node[split], size[split]
+    left = np.concatenate([tree.left for tree in trees])[split]
+    right = np.concatenate([tree.right for tree in trees])[split]
+    if (
+        feature.min() < -1
+        or feature.max() >= n_columns
+        or np.any((left <= node) | (right <= node) | (left >= size) | (right >= size))
+    ):
+        raise ValueError("tree nodes point outside the tree or the columns")
+
+
+@functools.cache
+def _field_kinds(params_cls: type) -> dict[str, tuple[type, ...]]:
+    hints = typing.get_type_hints(params_cls)
+    return {f.name: typing.get_args(hints[f.name]) or (hints[f.name],)
+            for f in dataclasses.fields(params_cls)}
+
+
+def _typed(name: str, value, kinds: tuple[type, ...]):
+    """``value`` if it is one of ``kinds``; a float field also takes an int."""
+    if float in kinds and value is not None:
+        return _number(value)
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise TypeError(f"hyperparameter {name} has the wrong type: {value!r}")
+    return value
+
+
+def load_ensemble(path: str | Path, model_cls: type):
+    """Read a model file written by ``save_ensemble`` back into ``model_cls``.
+
+    Any missing key, or a value of the wrong type or out of range, is a
+    ``DataError``.
+    """
+    path = Path(path)
+    if not path.is_file():
+        raise DataError(f"model file not found: {path}")
+    try:
+        record = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: invalid model JSON: {exc}") from exc
+    if not isinstance(record, dict) or record.get("kind") != model_cls.KIND:
+        raise DataError(f"{path}: not a {model_cls.KIND.replace('_', ' ')} file")
+    if record.get("schema_version") != SCHEMA_VERSION:
+        raise DataError(f"{path}: unsupported schema version")
+    try:
+        hp = record["hyperparameters"]
+        # the parameter class is the one the model's ``params`` field names
+        params_cls = _field_kinds(model_cls)["params"][0]
+        params = params_cls(
+            **{name: _typed(name, hp[name], kinds)
+               for name, kinds in _field_kinds(params_cls).items()}
+        )
+        columns = tuple(record["columns"])
+        if not all(isinstance(c, str) for c in columns):
+            raise TypeError("column names must be strings")
+        imputation = {c: _number(record["imputation"][c]) for c in columns}
+        trees = tuple(Tree.from_dict(t) for t in record["trees"])
+        _check_trees(trees, len(columns))
+        return model_cls(
+            vectorizer=Vectorizer(columns, imputation),
+            params=params,
+            seed=_typed("seed", hp["seed"], (int,)),
+            trees=trees,
+            meta=dict(record.get("meta", {})),
+            **{name: _number(record[name]) for name in _scalar_fields(model_cls)},
+        )
+    except (KeyError, TypeError, ValueError, RanwatchError) as exc:
+        raise DataError(f"{path}: malformed model file, retrain it: {exc!r}") from exc

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,15 +17,12 @@ from ranwatch.baseline import (
     cross_fit_predictions,
     evaluate,
     load_model,
-    model_hash,
     predict_matrix,
-    predict_row,
     regression_metrics,
-    save_model,
     train_baseline,
 )
 from ranwatch.errors import ConfigError, DataError
-from ranwatch.trees import Tree, grow_tree
+from ranwatch.trees import Tree, Vectorizer, ensemble_hash, grow_tree, save_ensemble
 
 
 # ---------------------------------------------------------------------------
@@ -93,18 +92,17 @@ def test_tree_predictions_bounded_by_training_targets(seed, depth):
 
 def test_median_imputation():
     matrix = build_feature_matrix(
-        ["a", "b", "c"],
         ("x", "y"),
         [{"x": 1.0, "y": None}, {"x": 3.0, "y": 5.0}, {"x": None, "y": 7.0}],
     )
-    assert matrix.imputation == {"x": 2.0, "y": 6.0}
+    assert matrix.vectorizer.imputation == {"x": 2.0, "y": 6.0}
     assert matrix.values[0, 1] == 6.0
     assert matrix.values[2, 0] == 2.0
 
 
 def test_all_missing_column_imputes_zero():
-    matrix = build_feature_matrix(["a"], ("x",), [{"x": None}])
-    assert matrix.imputation["x"] == 0.0
+    matrix = build_feature_matrix(("x",), [{"x": None}])
+    assert matrix.vectorizer.imputation["x"] == 0.0
     assert matrix.values[0, 0] == 0.0
 
 
@@ -116,12 +114,9 @@ def _smooth_data(n=200, seed=0):
     rng = np.random.default_rng(seed)
     X = rng.uniform(0, 10, size=(n, 3))
     y = np.sin(X[:, 0]) + 0.5 * X[:, 1] + 0.05 * rng.normal(size=n)
-    ids = [f"r{i}" for i in range(n)]
     matrix = FeatureMatrix(
-        ids=tuple(ids),
-        columns=("a", "b", "c"),
+        vectorizer=Vectorizer(("a", "b", "c"), {"a": 0.0, "b": 0.0, "c": 0.0}),
         values=X,
-        imputation={"a": 0.0, "b": 0.0, "c": 0.0},
     )
     return matrix, y
 
@@ -139,9 +134,9 @@ def test_training_is_deterministic():
     params = BaselineParams(n_trees=10)
     a = train_baseline(matrix, y, params, seed=7)
     b = train_baseline(matrix, y, params, seed=7)
-    assert model_hash(a) == model_hash(b)
+    assert ensemble_hash(a) == ensemble_hash(b)
     c = train_baseline(matrix, y, params, seed=8)
-    assert model_hash(a) != model_hash(c)
+    assert ensemble_hash(a) != ensemble_hash(c)
 
 
 def test_predictions_respect_training_range():
@@ -164,12 +159,21 @@ def test_training_input_validation():
         BaselineParams(n_trees=0)
 
 
-def test_predict_row_uses_imputation():
-    matrix, y = _smooth_data(n=80)
-    model = train_baseline(matrix, y, BaselineParams(n_trees=10), seed=3)
-    full = predict_row(model, {"a": 1.0, "b": 2.0, "c": 3.0})
-    gap = predict_row(model, {"a": 1.0, "b": 2.0, "c": None})
-    assert isinstance(full, float) and isinstance(gap, float)
+def test_model_vectorizer_fills_gaps_with_its_imputation():
+    matrix = build_feature_matrix(
+        ("a", "b"), [{"a": 1.0, "b": 4.0}, {"a": 3.0, "b": None}, {"a": None, "b": 8.0}]
+    )
+    rows = [{"a": 1.0, "b": None}, {"b": 2.0}, {"a": float("nan"), "b": 3}]
+    assert matrix.vectorizer.transform(rows).tolist() == [[1.0, 6.0], [2.0, 2.0], [2.0, 3.0]]
+    with pytest.raises(DataError):
+        matrix.vectorizer.transform([{"a": "fast"}])
+
+    data, y = _smooth_data(n=80)
+    model = train_baseline(data, y, BaselineParams(n_trees=10), seed=3)
+    assert model.vectorizer is data.vectorizer
+    X = model.vectorizer.transform([{"a": 1.0, "b": 2.0, "c": 3.0}, {"a": 1.0, "b": 2.0}])
+    assert X.tolist() == [[1.0, 2.0, 3.0], [1.0, 2.0, 0.0]]
+    assert predict_matrix(model, X).shape == (2,)
     with pytest.raises(DataError):
         predict_matrix(model, np.zeros((2, 2)))
 
@@ -178,11 +182,12 @@ def test_save_load_round_trip_is_lossless(tmp_path):
     matrix, y = _smooth_data(n=90)
     model = train_baseline(matrix, y, BaselineParams(n_trees=15), seed=4)
     path = tmp_path / "model.json"
-    save_model(model, path)
+    save_ensemble(model, path)
     clone = load_model(path)
     probe = np.random.default_rng(1).uniform(0, 10, size=(50, 3))
     assert np.max(np.abs(predict_matrix(model, probe) - predict_matrix(clone, probe))) <= 1e-12
-    assert model_hash(model) == model_hash(clone)
+    assert ensemble_hash(model) == ensemble_hash(clone)
+    assert clone == dataclasses.replace(model, trees=clone.trees)
 
 
 def test_load_model_rejects_wrong_kind(tmp_path):

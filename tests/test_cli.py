@@ -272,3 +272,137 @@ def test_config_file_versus_flag_precedence(pipeline, tmp_path):
         ]
     )
     assert code == EXIT_DEGRADED
+
+
+_BASELINE_KEYS = [
+    ("hyperparameters", "n_trees"),
+    ("hyperparameters", "max_depth"),
+    ("hyperparameters", "min_samples_leaf"),
+    ("hyperparameters", "feature_fraction"),
+    ("hyperparameters", "seed"),
+    ("columns",),
+    ("imputation",),
+    ("trees",),
+    ("target_floor",),
+    ("target_ceiling",),
+]
+_RISK_KEYS = [
+    ("hyperparameters", "n_estimators"),
+    ("hyperparameters", "max_depth"),
+    ("hyperparameters", "learning_rate"),
+    ("hyperparameters", "min_samples_leaf"),
+    ("hyperparameters", "smote_k"),
+    ("hyperparameters", "class_weight"),
+    ("hyperparameters", "seed"),
+    ("columns",),
+    ("imputation",),
+    ("trees",),
+    ("f0",),
+]
+
+
+def _tree(feature: list[int], left: list[int]) -> dict:
+    return {"feature": feature, "threshold": [0.5, 0.0, 0.0], "left": left,
+            "right": [2, 1, 2], "value": [0.0, 0.0, 1.0]}
+
+
+# (key path, bad value): wrong types, out-of-range values, unwalkable trees
+_BAD_VALUES = [
+    (("hyperparameters", "max_depth"), "8"),
+    (("hyperparameters", "max_depth"), 0),
+    (("hyperparameters", "max_depth"), 2.5),
+    (("hyperparameters", "min_samples_leaf"), True),
+    (("hyperparameters", "seed"), None),
+    (("hyperparameters",), []),
+    (("columns",), ["rsrp", 3]),
+    (("imputation", "rsrp"), "median"),
+    (("trees",), []),
+    (("trees", 0, "left"), [0]),
+    (("trees", 0), _tree(feature=[0, -1, -1], left=[0, 1, 2])),  # loops at the root
+    (("trees", 0), _tree(feature=[99, -1, -1], left=[1, 1, 2])),  # no such column
+]
+
+
+def _model_stage(pipeline, model: str, path: Path, tmp_path: Path) -> list[str]:
+    paths = pipeline["paths"]
+    if model == "baseline":
+        return ["analyze", "--rows", str(paths["rows"]), "--out-dir", str(tmp_path / "a"),
+                "--model", str(path)]
+    return ["score", "--model", str(path), "--features", str(paths["features"]),
+            "--out", str(tmp_path / "scores.tsv")]
+
+
+def _corrupt(pipeline, model: str, key: tuple, tmp_path: Path, value=None, delete=True) -> Path:
+    record = json.loads(pipeline["paths"][model].read_text(encoding="utf-8"))
+    holder = record
+    for part in key[:-1]:
+        holder = holder[part]
+    if delete:
+        del holder[key[-1]]
+    else:
+        holder[key[-1]] = value
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(record), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize(
+    "model,key",
+    [("baseline", k) for k in _BASELINE_KEYS] + [("risk", k) for k in _RISK_KEYS],
+    ids=lambda v: v if isinstance(v, str) else ".".join(v),
+)
+def test_model_file_missing_a_key_exits_1(pipeline, tmp_path, capsys, model, key):
+    path = _corrupt(pipeline, model, key, tmp_path)
+    assert main(_model_stage(pipeline, model, path, tmp_path)) == EXIT_DATA
+    assert "data error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model", ["baseline", "risk"])
+@pytest.mark.parametrize("key,value", _BAD_VALUES, ids=lambda v: repr(v)[:30])
+def test_model_file_with_a_bad_value_exits_1(pipeline, tmp_path, capsys, model, key, value):
+    path = _corrupt(pipeline, model, key, tmp_path, value, delete=False)
+    assert main(_model_stage(pipeline, model, path, tmp_path)) == EXIT_DATA
+    assert "data error:" in capsys.readouterr().err
+
+
+def test_model_files_share_one_layout(pipeline, tmp_path, capsys):
+    baseline = json.loads(pipeline["paths"]["baseline"].read_text(encoding="utf-8"))
+    risk = json.loads(pipeline["paths"]["risk"].read_text(encoding="utf-8"))
+    shared = {"kind", "schema_version", "columns", "imputation", "hyperparameters", "meta", "trees"}
+    assert set(baseline) == shared | {"target_floor", "target_ceiling"}
+    assert set(risk) == shared | {"f0"}
+    assert "imputation" not in risk["meta"]
+    assert set(risk["imputation"]) == set(risk["columns"])
+    # a risk model written with the fill values inside meta must be retrained
+    old = dict(risk, meta={**risk["meta"], "imputation": risk["imputation"]})
+    del old["imputation"]
+    path = tmp_path / "old_risk.json"
+    path.write_text(json.dumps(old), encoding="utf-8")
+    assert main(_model_stage(pipeline, "risk", path, tmp_path)) == EXIT_DATA
+    assert "retrain" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "kind,field,stage",
+    [("analysis_row", "efficiency", "analyze"), ("label", "ratio", "report")],
+)
+def test_record_missing_a_field_exits_1(pipeline, tmp_path, capsys, kind, field, stage):
+    source = pipeline["paths"]["rows"] if kind == "analysis_row" else (
+        pipeline["paths"]["analysis"] / "labels.jsonl"
+    )
+    records = read_records(source, kind=kind)
+    del records[0][field]
+    path = tmp_path / "in.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    flag = "--rows" if stage == "analyze" else "--labels"
+    assert main([stage, flag, str(path), "--out-dir", str(tmp_path / "out")]) == EXIT_DATA
+    assert "data error:" in capsys.readouterr().err
+
+
+def test_hyperparameter_of_the_wrong_type_exits_2(pipeline, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"trees": "many"}), encoding="utf-8")
+    code = main(["train-baseline", "--rows", str(pipeline["paths"]["rows"]),
+                 "--out", str(tmp_path / "m.json"), "--config", str(config)])
+    assert code == EXIT_CONFIG
+    assert "config error: trees" in capsys.readouterr().err

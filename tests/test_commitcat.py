@@ -21,7 +21,6 @@ from ranwatch.commitcat import (
     confidence_rule,
     default_rule_config,
     detect_change_type,
-    keyword_score,
     load_rule_config,
     refine_draft,
 )
@@ -81,15 +80,19 @@ def test_weak_buffer_cue_marks_memory_with_low_confidence():
     assert result.evidence_total == pytest.approx(0.5)
 
 
+def _score(message: str, category: str) -> float:
+    return categorize_keywords(commit(message), CFG).scores[category]
+
+
 def test_distinct_keyword_counted_once_per_commit():
-    once = keyword_score("RRC here", CFG.keywords, "RRC")
-    thrice = keyword_score("RRC RRC RRC", CFG.keywords, "RRC")
+    once = _score("RRC here", "RRC")
+    thrice = _score("RRC RRC RRC", "RRC")
     assert once == thrice == 2.0
 
 
 def test_matching_is_case_insensitive():
-    assert keyword_score("fixed the rrc path", CFG.keywords, "RRC") == 2.0
-    assert keyword_score("PDCP and pdcp", CFG.keywords, "PDCP") == 2.0
+    assert _score("fixed the rrc path", "RRC") == 2.0
+    assert _score("PDCP and pdcp", "PDCP") == 2.0
 
 
 def test_threshold_override_for_memory():
@@ -266,8 +269,8 @@ def test_feature_encode_decode_identity():
 @settings(max_examples=80, deadline=None)
 def test_appending_keyword_never_lowers_category_score(message, category):
     keyword = next(r.keyword for r in CFG.keywords if r.category == category)
-    base = keyword_score(message, CFG.keywords, category)
-    extended = keyword_score(message + " " + keyword, CFG.keywords, category)
+    base = _score(message, category)
+    extended = _score(message + " " + keyword, category)
     assert extended >= base
 
 

@@ -14,14 +14,12 @@ from ranwatch.risk import (
     evaluate_classifier,
     load_model,
     metrics_from_predictions,
-    model_hash,
     predict_proba,
-    predict_risk,
     roc_auc,
-    save_model,
     smote_oversample,
     train_risk,
 )
+from ranwatch.trees import Vectorizer, ensemble_hash, save_ensemble
 
 
 # ---------------------------------------------------------------------------
@@ -81,6 +79,9 @@ def _imbalanced(n_major=60, n_minor=12, seed=0):
     return X, y
 
 
+ABC = Vectorizer(("a", "b", "c"), {"a": 0.0, "b": 1.0, "c": 2.0})
+
+
 def test_balance_reaches_one_to_one():
     X, y = _imbalanced()
     Xb, yb, synthetic = balance_training_set(X, y, RiskParams(), seed=0)
@@ -103,7 +104,7 @@ def test_balance_noop_when_classes_even():
 def test_classifier_separates_obvious_clusters():
     X, y = _imbalanced(n_major=80, n_minor=40, seed=2)
     params = RiskParams(n_estimators=60)
-    model = train_risk(X, y, params, seed=0)
+    model = train_risk(X, y, params, 0, ABC)
     proba = predict_proba(model, X)
     assert roc_auc(y, proba) > 0.99
     metrics = evaluate_classifier(model, X, y)
@@ -113,33 +114,38 @@ def test_classifier_separates_obvious_clusters():
 def test_classifier_training_is_deterministic():
     X, y = _imbalanced(seed=3)
     params = RiskParams(n_estimators=25)
-    a = train_risk(X, y, params, seed=1)
-    b = train_risk(X, y, params, seed=1)
-    assert model_hash(a) == model_hash(b)
+    a = train_risk(X, y, params, 1, ABC)
+    b = train_risk(X, y, params, 1, ABC)
+    assert ensemble_hash(a) == ensemble_hash(b)
     assert np.array_equal(predict_proba(a, X), predict_proba(b, X))
 
 
 def test_classifier_rejects_degenerate_labels():
     X, y = _imbalanced()
     with pytest.raises(DataError):
-        train_risk(X, np.zeros_like(y), RiskParams(n_estimators=5), seed=0)
+        train_risk(X, np.zeros_like(y), RiskParams(n_estimators=5), 0, ABC)
     with pytest.raises(DataError):
-        train_risk(X, np.full_like(y, 2), RiskParams(n_estimators=5), seed=0)
+        train_risk(X, np.full_like(y, 2), RiskParams(n_estimators=5), 0, ABC)
+    with pytest.raises(DataError):
+        train_risk(X[:, :2], y, RiskParams(n_estimators=5), 0, ABC)
     with pytest.raises(ConfigError):
         RiskParams(learning_rate=0.0)
 
 
 def test_classifier_save_load_round_trip(tmp_path):
     X, y = _imbalanced(seed=5)
-    model = train_risk(X, y, RiskParams(n_estimators=15), seed=2, columns=("a", "b", "c"))
+    model = train_risk(X, y, RiskParams(n_estimators=15), 2, ABC)
     path = tmp_path / "risk.json"
-    save_model(model, path)
+    save_ensemble(model, path)
     clone = load_model(path)
-    assert clone.columns == ("a", "b", "c")
+    assert clone.vectorizer == ABC
     assert np.max(np.abs(predict_proba(model, X) - predict_proba(clone, X))) <= 1e-12
-    assert model_hash(model) == model_hash(clone)
-    row = {"a": X[0, 0], "b": X[0, 1], "c": X[0, 2]}
-    assert predict_risk(clone, row) == pytest.approx(float(predict_proba(model, X[:1])[0]))
+    assert ensemble_hash(model) == ensemble_hash(clone)
+    rows = [{"a": X[0, 0], "b": X[0, 1], "c": X[0, 2]}, {"a": X[1, 0], "c": None}]
+    expected = np.array([X[0], [X[1, 0], 1.0, 2.0]])
+    assert np.array_equal(
+        predict_proba(clone, clone.vectorizer.transform(rows)), predict_proba(model, expected)
+    )
 
 
 # ---------------------------------------------------------------------------
