@@ -115,6 +115,10 @@ _RISK_OPTIONS = {
 _THRESHOLD_OPTIONS = {"ratio_floor": "ratio_floor", "min_expected_efficiency": "min_expected"}
 
 
+# the built-in demo scenario, shipped with the package as a template for custom ones
+_DEMO_SCENARIO = Path(__file__).parent / "defaults" / "scenario_demo.json"
+
+
 def _make_refine_client(mode: str, retries: int) -> refine.RefinementClient | None:
     if mode == "none":
         return None
@@ -130,30 +134,12 @@ def _make_refine_client(mode: str, retries: int) -> refine.RefinementClient | No
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    if args.scenario:
-        spec = synthgen.load_scenario(args.scenario)
-    else:
-        spec = _demo_scenario()
+    spec = synthgen.load_scenario(args.scenario or _DEMO_SCENARIO)
     corpus = synthgen.generate(spec, args.out)
     print(f"dataset: {corpus.dataset_dir}")
     print(f"commits: {corpus.commits_file}")
     print(f"truth: {corpus.truth_tests_file} {corpus.truth_commits_file}")
     return EXIT_OK
-
-
-def _demo_scenario() -> synthgen.ScenarioSpec:
-    return synthgen.ScenarioSpec(
-        seed=7,
-        n_commits=12,
-        tests_per_commit=6,
-        sinr_range=(8.0, 30.0),
-        injections=(
-            synthgen.Injection(commit_index=3, layers=("PDCP",), drop=0.4),
-            synthgen.Injection(
-                commit_index=8, layers=("MAC", "PHY"), drop=0.5, onset_delay=1
-            ),
-        ),
-    )
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
@@ -203,25 +189,17 @@ def _cmd_categorize(args: argparse.Namespace) -> int:
     retries = int(_resolve(args, cfg, "retries", 2))
     mode = _resolve(args, cfg, "refine", "none")
     client = _make_refine_client(mode, retries)
-    commits = load_commits(args.commits)
-    texts = [
-        commitcat.CommitText(
-            hash=c.hash,
-            message=c.message,
-            files_changed=c.files_changed,
-            lines_added=c.lines_added,
-            lines_deleted=c.lines_deleted,
-        )
-        for c in commits
-    ]
     outcomes = commitcat.categorize_commits(
-        texts, config, client=client, concurrency=int(_resolve(args, cfg, "concurrency", 4))
+        load_commits(args.commits),
+        config,
+        client=client,
+        concurrency=int(_resolve(args, cfg, "concurrency", 4)),
     )
     records = []
     status_counts: dict[str, int] = {}
-    for text, result, status in outcomes:
+    for commit, result, status in outcomes:
         status_counts[status] = status_counts.get(status, 0) + 1
-        features = commitcat.build_feature_vector(text, result)
+        features = commitcat.build_feature_vector(commit, result)
         record = features.encode()
         record["affected"] = sorted(result.affected)
         record["confidence"] = result.confidence
@@ -490,10 +468,11 @@ def _cmd_train_risk(args: argparse.Namespace) -> int:
     test_fraction = float(_resolve(args, cfg, "test_fraction", 0.2))
     params = _params(risk_mod.RiskParams, args, cfg, _RISK_OPTIONS)
     rows = assemble_mod.load_rows(args.rows)
-    label_records = read_records(args.labels, kind="label")
-    degraded_by_test = {
-        (r["day"], r["time"]): bool(r["degraded"]) for r in label_records
-    }
+    labels = [
+        residual_mod.DegradationLabel.decode(r)
+        for r in read_records(args.labels, kind="label")
+    ]
+    degraded_by_test = {(label.day, label.time): label.degraded for label in labels}
     y_all = []
     for row in rows:
         key = (row.day, row.time)

@@ -9,6 +9,11 @@ evidence summary (layer count, component count, total evidence, strong
 matches) to a confidence grade; only medium- and low-confidence drafts are
 sent to the optional refinement service.
 
+The built-in keywords, thresholds, change-type rules and decision table
+are defined in one place, the rule file ``defaults/keyword_rules.txt``
+shipped inside the package; ``default_rule_config`` reads it with the same
+parser as a user's ``--rules`` file.
+
 The categorization result is flattened into a fixed 34-slot feature
 vector consumed by the risk model. The slot order is a stable contract:
 changing it requires a new store schema version.
@@ -18,16 +23,17 @@ from __future__ import annotations
 
 import concurrent.futures
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .refine import (
     MAX_REFINED_LAYERS,
     RefineRequest,
     RefinementClient,
 )
+from .store import CommitMeta
 
 LAYERS: tuple[str, ...] = (
     "PHY",
@@ -109,15 +115,6 @@ class RuleConfig:
 
 
 @dataclass(frozen=True)
-class CommitText:
-    hash: str
-    message: str
-    files_changed: int
-    lines_added: int
-    lines_deleted: int
-
-
-@dataclass(frozen=True)
 class CategorizationResult:
     affected: tuple[str, ...]  # subset of CATEGORIES in canonical order
     scores: Mapping[str, float]
@@ -140,162 +137,15 @@ class CategorizationResult:
 
 
 # ---------------------------------------------------------------------------
-# default rule set
+# rule file parsing
 
-
-def default_keyword_rules() -> tuple[KeywordRule, ...]:
-    table: dict[str, list[tuple[str, str]]] = {
-        "PHY": [
-            ("L1", "strong"),
-            ("PHY", "strong"),
-            ("NR_PHY", "strong"),
-            ("prach", "medium"),
-            ("dlsch", "medium"),
-            ("ulsch", "medium"),
-            ("fapi", "medium"),
-            ("ofdm", "medium"),
-            ("tx", "weak"),
-            ("rx", "weak"),
-        ],
-        "MAC": [
-            ("MAC", "strong"),
-            ("NR_MAC", "strong"),
-            ("MSG3", "strong"),
-            ("LogicalChannelConfig", "strong"),
-            ("msg2", "medium"),
-            ("harq", "medium"),
-            ("bsr", "medium"),
-            ("dci", "medium"),
-            ("mcs", "weak"),
-        ],
-        "RLC": [
-            ("RLC", "strong"),
-            ("rlc_am", "medium"),
-            ("sdu", "weak"),
-        ],
-        "PDCP": [
-            ("PDCP", "strong"),
-            ("rohc", "medium"),
-            ("ciphering", "medium"),
-            ("integrity", "weak"),
-        ],
-        "RRC": [
-            ("RRC", "strong"),
-            ("SIB1", "medium"),
-            ("cellGroupConfig", "medium"),
-            ("reestablishment", "weak"),
-        ],
-        "NAS": [
-            ("NAS", "strong"),
-            ("registration request", "medium"),
-            ("pdu session", "medium"),
-        ],
-        "NGAP": [
-            ("NGAP", "strong"),
-            ("ng setup", "medium"),
-            ("amf", "medium"),
-        ],
-        "F1AP": [
-            ("F1AP", "strong"),
-            ("f1 setup", "medium"),
-            ("f1-c", "medium"),
-        ],
-        "E1AP": [
-            ("E1AP", "strong"),
-            ("e1 setup", "medium"),
-            ("cu-up", "medium"),
-        ],
-        "memory": [
-            ("memory leak", "strong"),
-            ("use-after-free", "strong"),
-            ("memcpy", "medium"),
-            ("malloc", "medium"),
-            ("memory", "medium"),
-            ("buffer", "weak"),
-        ],
-        "threading": [
-            ("deadlock", "strong"),
-            ("pthread", "strong"),
-            ("mutex", "medium"),
-            ("thread", "medium"),
-            ("race", "weak"),
-        ],
-        "radio": [
-            ("rfsimulator", "strong"),
-            ("usrp", "strong"),
-            ("radio", "medium"),
-            ("antenna", "medium"),
-            ("gain", "weak"),
-            ("channel", "weak"),
-        ],
-        "scheduler": [
-            ("gNB_scheduler", "strong"),
-            ("nr_schedule", "medium"),
-            ("schedul", "weak"),
-        ],
-        "timer": [
-            ("t_reordering", "strong"),
-            ("timer", "medium"),
-            ("timeout", "medium"),
-            ("expiry", "weak"),
-        ],
-        "queue": [
-            ("enqueue", "medium"),
-            ("dequeue", "medium"),
-            ("queue", "medium"),
-            ("fifo", "medium"),
-            ("backlog", "weak"),
-        ],
-    }
-    rules = []
-    for category in CATEGORIES:
-        for keyword, strength in table[category]:
-            rules.append(KeywordRule(category, keyword, strength))
-    return tuple(rules)
-
-
-# a single weak memory cue like "buffer" should still mark the component;
-# this mirrors the curated production rule set
-DEFAULT_THRESHOLDS: dict[str, float] = {"memory": 0.5}
-
-DEFAULT_CHANGE_TYPE_RULES: tuple[tuple[str, str], ...] = (
-    ("bugfix", "fix"),
-    ("bugfix", "bug"),
-    ("bugfix", "crash"),
-    ("bugfix", "correct"),
-    ("bugfix", "fault"),
-    ("optimization", "optimi"),
-    ("optimization", "speedup"),
-    ("optimization", "speed up"),
-    ("optimization", "faster"),
-    ("optimization", "latency"),
-    ("feature", "add"),
-    ("feature", "support"),
-    ("feature", "implement"),
-    ("feature", "introduce"),
-    ("feature", "enable"),
-    ("refactoring", "refactor"),
-    ("refactoring", "rework"),
-    ("refactoring", "cleanup"),
-    ("refactoring", "clean up"),
-    ("refactoring", "simplif"),
-    ("refactoring", "rename"),
-    ("refactoring", "restructure"),
-    ("refactoring", "remove"),
-)
+_DEFAULT_RULES = Path(__file__).parent / "defaults" / "keyword_rules.txt"
 
 
 def default_rule_config() -> RuleConfig:
-    return RuleConfig(
-        keywords=default_keyword_rules(),
-        thresholds=dict(DEFAULT_THRESHOLDS),
-        change_type_rules=DEFAULT_CHANGE_TYPE_RULES,
-        confidence=ConfidenceTable(),
-    )
+    """The built-in rule set, read from the rule file shipped in the package."""
+    return load_rule_config(_DEFAULT_RULES)
 
-
-# ---------------------------------------------------------------------------
-# rule file parsing
 
 _SECTION_RE = re.compile(r"^\[(?P<name>[a-z_]+)\]$")
 
@@ -307,7 +157,9 @@ def load_rule_config(path: str | Path) -> RuleConfig:
     keyword is everything after the second comma, so it may itself contain
     commas), [thresholds] with ``category = value`` overrides,
     [change_types] with ``type, keyword`` entries, and [confidence] with
-    ``name = value`` overrides of the decision table.
+    ``name = value`` overrides of the decision table. A file without
+    [change_types] gets the built-in change-type rules; a decision-table
+    field the file does not set keeps its ``ConfidenceTable`` default.
     """
     path = Path(path)
     if not path.is_file():
@@ -315,7 +167,7 @@ def load_rule_config(path: str | Path) -> RuleConfig:
     keywords: list[KeywordRule] = []
     thresholds: dict[str, float] = {}
     change_rules: list[tuple[str, str]] = []
-    confidence_kwargs: dict[str, float] = {}
+    confidence: dict[str, int | float] = {}
     section = None
     for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.strip()
@@ -360,28 +212,24 @@ def load_rule_config(path: str | Path) -> RuleConfig:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected 'name = value'")
             name, raw_value = (p.strip() for p in line.split("=", 1))
-            if name not in ConfidenceTable.__dataclass_fields__:
+            table_field = ConfidenceTable.__dataclass_fields__.get(name)
+            if table_field is None:
                 raise ConfigError(f"{path}:{lineno}: unknown confidence field {name!r}")
             try:
-                confidence_kwargs[name] = float(raw_value)
+                confidence[name] = type(table_field.default)(raw_value)
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: bad value: {raw_value!r}") from exc
         else:
             raise ConfigError(f"{path}:{lineno}: entry outside any section")
     if not keywords:
         raise ConfigError(f"{path}: no keyword rules defined")
-    table = ConfidenceTable(
-        high_strong_min=int(confidence_kwargs.get("high_strong_min", 1)),
-        high_evidence_min=float(confidence_kwargs.get("high_evidence_min", 2.0)),
-        high_layer_max=int(confidence_kwargs.get("high_layer_max", 2)),
-        high_component_max=int(confidence_kwargs.get("high_component_max", 2)),
-        medium_evidence_min=float(confidence_kwargs.get("medium_evidence_min", 1.0)),
-    )
     return RuleConfig(
         keywords=tuple(keywords),
         thresholds=thresholds,
-        change_type_rules=tuple(change_rules) if change_rules else DEFAULT_CHANGE_TYPE_RULES,
-        confidence=table,
+        change_type_rules=(
+            tuple(change_rules) if change_rules else default_rule_config().change_type_rules
+        ),
+        confidence=ConfidenceTable(**confidence),
     )
 
 
@@ -418,7 +266,7 @@ def confidence_rule(
     return "low"
 
 
-def categorize_keywords(commit: CommitText, config: RuleConfig) -> CategorizationResult:
+def categorize_keywords(commit: CommitMeta, config: RuleConfig) -> CategorizationResult:
     """Pure keyword-stage categorization of one commit."""
     text = commit.message.lower()
     scores: dict[str, float] = {}
@@ -459,7 +307,7 @@ def categorize_keywords(commit: CommitText, config: RuleConfig) -> Categorizatio
 
 
 def refine_draft(
-    commit: CommitText,
+    commit: CommitMeta,
     draft: CategorizationResult,
     client: RefinementClient,
 ) -> tuple[CategorizationResult, str]:
@@ -505,11 +353,11 @@ def refine_draft(
 
 
 def categorize_commits(
-    commits: Sequence[CommitText],
+    commits: Sequence[CommitMeta],
     config: RuleConfig,
     client: RefinementClient | None = None,
     concurrency: int = 4,
-) -> list[tuple[CommitText, CategorizationResult, str]]:
+) -> list[tuple[CommitMeta, CategorizationResult, str]]:
     """Categorize a batch, refining medium- and low-confidence drafts.
 
     Refinement requests run on a small thread pool; results are merged
@@ -578,15 +426,6 @@ class CommitFeatures:
     def as_dict(self) -> dict[str, float]:
         return dict(zip(FEATURE_NAMES, self.values))
 
-    def __getitem__(self, name: str) -> float:
-        return self.values[FEATURE_NAMES.index(name)]
-
-    @property
-    def layers(self) -> tuple[str, ...]:
-        return tuple(
-            layer for layer in LAYERS if self[f"cat_{layer.lower()}"] >= 0.5
-        )
-
     def encode(self) -> dict:
         return {
             "kind": "commit_features",
@@ -596,14 +435,13 @@ class CommitFeatures:
 
     @classmethod
     def decode(cls, record: dict) -> "CommitFeatures":
-        features = record["features"]
-        missing = [n for n in FEATURE_NAMES if n not in features]
-        if missing:
-            raise ValueError(f"record is missing feature slots: {missing}")
-        return cls(
-            commit_hash=record["hash"],
-            values=tuple(float(features[n]) for n in FEATURE_NAMES),
-        )
+        try:
+            return cls(
+                commit_hash=record["hash"],
+                values=tuple(float(record["features"][n]) for n in FEATURE_NAMES),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"malformed commit_features record: {exc!r}") from exc
 
 
 def complexity_score(
@@ -620,7 +458,7 @@ def complexity_score(
 
 
 def build_feature_vector(
-    commit: CommitText,
+    commit: CommitMeta,
     result: CategorizationResult,
     complexity: ComplexityParams = DEFAULT_COMPLEXITY,
 ) -> CommitFeatures:

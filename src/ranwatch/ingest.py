@@ -4,7 +4,9 @@ A dataset root contains one directory per day (yyyymmdd) with one
 directory per test run (hhmmss), each holding iPerf CSV results and gNB
 runtime logs. Traffic KPIs come from the CSV; radio KPMs and event counts
 come from the logs via a configurable rule table, so new log formats only
-need new rules, not code.
+need new rules, not code. The built-in table is defined in one place, the
+rule file ``defaults/log_rules.txt`` shipped inside the package;
+``default_log_rules`` reads it with the same parser as ``--log-rules``.
 
 A record field either carries a value or appears in ``missing_fields``,
 never both. Records survive partial artifact loss (CSV without logs and
@@ -105,9 +107,6 @@ class ScanWarning:
     path: str
     reason: str
 
-    def encode(self) -> dict:
-        return {"kind": "scan_warning", "path": self.path, "reason": self.reason}
-
 
 @dataclass(frozen=True)
 class TrafficKpi:
@@ -183,20 +182,20 @@ class TestRecord:
 
     @classmethod
     def decode(cls, record: dict) -> "TestRecord":
-        test_id = TestId(
-            day=dt.date.fromisoformat(record["day"]),
-            time_of_day=dt.time.fromisoformat(record["time"]),
-        )
-        traffic = TrafficKpi(**{k: record["traffic"].get(k) for k in TRAFFIC_FIELDS})
-        radio = RadioKpm(**{k: record["radio"].get(k) for k in RADIO_FIELDS})
-        return cls(
-            test_id=test_id,
-            commit_hash=record["commit_hash"],
-            traffic=traffic,
-            radio=radio,
-            events={k: int(v) for k, v in record["events"].items()},
-            missing_fields=frozenset(record["missing_fields"]),
-        )
+        try:
+            return cls(
+                test_id=TestId(
+                    day=dt.date.fromisoformat(record["day"]),
+                    time_of_day=dt.time.fromisoformat(record["time"]),
+                ),
+                commit_hash=record["commit_hash"],
+                traffic=TrafficKpi(**{k: record["traffic"].get(k) for k in TRAFFIC_FIELDS}),
+                radio=RadioKpm(**{k: record["radio"].get(k) for k in RADIO_FIELDS}),
+                events={k: int(v) for k, v in record["events"].items()},
+                missing_fields=frozenset(record["missing_fields"]),
+            )
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise DataError(f"malformed test_record record: {exc!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -326,22 +325,12 @@ def parse_iperf_csv(path: str | Path, target_rate: float) -> tuple[TrafficKpi, s
 # gNB logs
 
 
+_DEFAULT_LOG_RULES = Path(__file__).parent / "defaults" / "log_rules.txt"
+
+
 def default_log_rules() -> tuple[ParseRule, ...]:
-    return (
-        ParseRule("rsrp", r"RSRP[= ]+(-?\d+(?:\.\d+)?)\s*dBm", "dBm", "mean"),
-        ParseRule("sinr", r"SINR[= ]+(-?\d+(?:\.\d+)?)\s*dB", "dB", "mean"),
-        ParseRule("dl_bler", r"DL[_ ]BLER[= ]+(\d+(?:\.\d+)?)", "fraction", "mean"),
-        ParseRule("ul_bler", r"UL[_ ]BLER[= ]+(\d+(?:\.\d+)?)", "fraction", "mean"),
-        ParseRule("cqi_mean", r"CQI[= ]+(\d+(?:\.\d+)?)", "raw", "mean"),
-        ParseRule("harq_retx_round1", r"HARQ retx round=1\b", "count", "count"),
-        ParseRule("harq_retx_total", r"HARQ retx round=\d+", "count", "count"),
-        ParseRule("pdu_sessions_active", r"PDU session established", "count", "count"),
-        ParseRule("msg2_failures", r"msg2 failure", "count", "count"),
-        ParseRule("rrc_setup", r"RRC setup complete", "count", "count"),
-        ParseRule("rrc_release", r"RRC release", "count", "count"),
-        ParseRule("scheduler_warnings", r"scheduler warning", "count", "count"),
-        ParseRule("error_lines", r"\bERROR\b", "count", "count"),
-    )
+    """The built-in rule table, read from the rule file shipped in the package."""
+    return load_log_rules(_DEFAULT_LOG_RULES)
 
 
 def load_log_rules(path: str | Path) -> tuple[ParseRule, ...]:

@@ -19,7 +19,7 @@ core stays dependency-free beyond numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -84,7 +84,6 @@ class VarianceReport:
     score: float
     n_rows: int
     n_groups: int
-    group_counts: dict[str, int] = field(default_factory=dict)
 
 
 def _joint_keys(columns: Sequence[Sequence]) -> list[tuple]:
@@ -147,18 +146,13 @@ def variance_explained(
         var_cond = 0.0
 
     score = (_pop_var(e_full) - var_cond) / var_y
-    counts: dict[str, int] = {}
-    for key in joint:
-        label = "|".join(str(part) for part in key)
-        counts[label] = counts.get(label, 0) + 1
     return VarianceReport(
         target=target,
         factor=factor,
         conditioning=tuple(conditioning),
         score=float(score),
         n_rows=int(y_arr.size),
-        n_groups=len(counts),
-        group_counts=counts,
+        n_groups=len(set(joint)),
     )
 
 

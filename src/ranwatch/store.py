@@ -65,6 +65,8 @@ def read_records(path: str | Path, kind: str | None = None) -> list[dict]:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path}:{lineno}: invalid record: {exc}") from exc
+            if not isinstance(record, dict):
+                raise DataError(f"{path}:{lineno}: record is not a JSON object")
             version = record.get("schema_version")
             if version != SCHEMA_VERSION:
                 raise DataError(

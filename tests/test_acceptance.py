@@ -19,11 +19,11 @@ import pytest
 import scipy.stats
 
 from ranwatch.cli import EXIT_DEGRADED, EXIT_OK, main
-from ranwatch.commitcat import CommitText, categorize_keywords, default_rule_config
+from ranwatch.commitcat import categorize_keywords, default_rule_config
 from ranwatch.residual import Thresholds, classify, residual_ratio
 from ranwatch.risk import RiskParams, balance_training_set, metrics_from_predictions, smote_oversample
 from ranwatch.stats import cohens_d, variance_explained, welch_t
-from ranwatch.store import read_records
+from ranwatch.store import CommitMeta, read_records
 
 
 def _tree_digest(root: Path) -> dict[str, str]:
@@ -129,8 +129,9 @@ def test_criterion_2_keyword_mappings(acceptance):
     config = default_rule_config()
     got = []
     for message, _expected in REVIEWED_MAPPINGS:
-        text = CommitText(hash="c" * 40, message=message, files_changed=2, lines_added=20, lines_deleted=5)
-        got.append(set(categorize_keywords(text, config).layers))
+        meta = CommitMeta(hash="c" * 40, deploy_time="2025-01-06T06:00:00", message=message,
+                          files_changed=2, lines_added=20, lines_deleted=5)
+        got.append(set(categorize_keywords(meta, config).layers))
     elapsed = time.perf_counter() - t0
     ok = all(g == e for g, (_, e) in zip(got, REVIEWED_MAPPINGS)) and elapsed < 1.0
     acceptance(2, "shipped keyword rules reproduce all seven reviewed layer mappings", ok)

@@ -382,21 +382,70 @@ def test_model_files_share_one_layout(pipeline, tmp_path, capsys):
     assert "retrain" in capsys.readouterr().err
 
 
+def _inputs(pipeline) -> dict[str, Path]:
+    """The pipeline file of each record kind a stage reads."""
+    paths = pipeline["paths"]
+    return {
+        "analysis_row": paths["rows"],
+        "label": paths["analysis"] / "labels.jsonl",
+        "test_record": paths["records"],
+        "commit_features": paths["features"],
+    }
+
+
+def _stage_reading(pipeline, stage: str, kind: str, path: Path, tmp_path: Path) -> list[str]:
+    """The argv of ``stage`` with its ``kind`` input file replaced by ``path``."""
+    inputs = {k: str(v) for k, v in _inputs(pipeline).items()}
+    inputs[kind] = str(path)
+    commits = str(pipeline["paths"]["corpus"] / "commits.jsonl")
+    out = str(tmp_path / "out")
+    return {
+        "analyze": ["analyze", "--rows", inputs["analysis_row"], "--out-dir", out],
+        "report": ["report", "--labels", inputs["label"], "--out-dir", out],
+        "train-risk": ["train-risk", "--rows", inputs["analysis_row"],
+                       "--labels", inputs["label"], "--out", out],
+        "assemble": ["assemble", "--records", inputs["test_record"],
+                     "--features", inputs["commit_features"], "--commits", commits, "--out", out],
+        "score": ["score", "--model", str(pipeline["paths"]["risk"]),
+                  "--features", inputs["commit_features"], "--out", out],
+    }[stage]
+
+
 @pytest.mark.parametrize(
     "kind,field,stage",
-    [("analysis_row", "efficiency", "analyze"), ("label", "ratio", "report")],
+    [
+        ("analysis_row", "efficiency", "analyze"),
+        ("label", "ratio", "report"),
+        ("label", "day", "train-risk"),
+        ("test_record", "traffic", "assemble"),
+        ("commit_features", ("features", "cat_phy"), "assemble"),
+        ("commit_features", ("features", "cat_phy"), "score"),
+    ],
+    ids=lambda v: v if isinstance(v, str) else ".".join(v),
 )
 def test_record_missing_a_field_exits_1(pipeline, tmp_path, capsys, kind, field, stage):
-    source = pipeline["paths"]["rows"] if kind == "analysis_row" else (
-        pipeline["paths"]["analysis"] / "labels.jsonl"
-    )
-    records = read_records(source, kind=kind)
-    del records[0][field]
+    records = read_records(_inputs(pipeline)[kind], kind=kind)
+    holder = records[0]
+    *parents, name = (field,) if isinstance(field, str) else field
+    for part in parents:
+        holder = holder[part]
+    del holder[name]
     path = tmp_path / "in.jsonl"
     path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
-    flag = "--rows" if stage == "analyze" else "--labels"
-    assert main([stage, flag, str(path), "--out-dir", str(tmp_path / "out")]) == EXIT_DATA
+    assert main(_stage_reading(pipeline, stage, kind, path, tmp_path)) == EXIT_DATA
     assert "data error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "kind,stage",
+    [("analysis_row", "analyze"), ("label", "train-risk"), ("test_record", "assemble"),
+     ("commit_features", "score")],
+)
+def test_record_that_is_not_an_object_exits_1(pipeline, tmp_path, capsys, kind, stage):
+    path = tmp_path / "in.jsonl"
+    path.write_text("[1]\n", encoding="utf-8")
+    assert main(_stage_reading(pipeline, stage, kind, path, tmp_path)) == EXIT_DATA
+    assert "not a JSON object" in capsys.readouterr().err
 
 
 def test_hyperparameter_of_the_wrong_type_exits_2(pipeline, tmp_path, capsys):

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +11,7 @@ from ranwatch.commitcat import (
     CATEGORIES,
     FEATURE_NAMES,
     CommitFeatures,
-    CommitText,
+    ConfidenceTable,
     build_feature_vector,
     categorize_commits,
     categorize_keywords,
@@ -26,11 +24,13 @@ from ranwatch.commitcat import (
 )
 from ranwatch.errors import ConfigError
 from ranwatch.refine import EchoStubTransport, RefinementClient, ScriptedTransport
+from ranwatch.store import CommitMeta
 
 
-def commit(message: str) -> CommitText:
-    return CommitText(
-        hash="ab" * 20, message=message, files_changed=3, lines_added=40, lines_deleted=10
+def commit(message: str, hash: str = "ab" * 20, files=3, added=40, deleted=10) -> CommitMeta:
+    return CommitMeta(
+        hash=hash, deploy_time="2025-01-06T06:00:00", message=message, files_changed=files,
+        lines_added=added, lines_deleted=deleted,
     )
 
 
@@ -123,13 +123,34 @@ def test_confidence_rule_boundaries():
     assert confidence_rule(0, 0, 0.5, 0) == "low"
 
 
-def test_shipped_rule_file_equals_defaults():
-    shipped = Path(__file__).resolve().parent.parent / "configs" / "keyword_rules.txt"
-    loaded = load_rule_config(shipped)
-    assert loaded.keywords == CFG.keywords
-    assert loaded.thresholds == CFG.thresholds
-    assert tuple(loaded.change_type_rules) == tuple(CFG.change_type_rules)
-    assert loaded.confidence == CFG.confidence
+def test_keywords_only_rule_file_gets_shipped_change_types_and_default_confidence(tmp_path):
+    rules = tmp_path / "rules.txt"
+    rules.write_text("[keywords]\nPHY, strong, L1\n", encoding="utf-8")
+    loaded = load_rule_config(rules)
+    assert [(r.category, r.strength, r.keyword) for r in loaded.keywords] == [
+        ("PHY", "strong", "L1")
+    ]
+    assert loaded.thresholds == {}
+    assert loaded.change_type_rules and loaded.change_type_rules == CFG.change_type_rules
+    assert loaded.confidence == ConfidenceTable()
+
+
+def test_rule_file_confidence_keeps_field_types(tmp_path):
+    rules = tmp_path / "rules.txt"
+    rules.write_text(
+        "[keywords]\nPHY, strong, L1\n[confidence]\nhigh_layer_max = 3\n"
+        "medium_evidence_min = 1.5\n",
+        encoding="utf-8",
+    )
+    table = load_rule_config(rules).confidence
+    assert table == ConfidenceTable(high_layer_max=3, medium_evidence_min=1.5)
+    assert type(table.high_layer_max) is int
+    rules.write_text(
+        "[keywords]\nPHY, strong, L1\n[confidence]\nhigh_layer_max = 2.5\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(ConfigError):
+        load_rule_config(rules)
 
 
 def test_rule_file_rejects_unknown_category(tmp_path):
@@ -188,7 +209,7 @@ def test_unreachable_transport_falls_back_immediately():
 
 def test_batch_statuses_and_order():
     texts = [
-        CommitText(hash=f"{i:02x}" * 20, message=m, files_changed=1, lines_added=1, lines_deleted=0)
+        commit(m, hash=f"{i:02x}" * 20, files=1, added=1, deleted=0)
         for i, m in enumerate(["fix RRC setup", "shrink buffer", "fix PDCP reorder"])
     ]
     outcomes = categorize_commits(texts, CFG, client=RefinementClient(EchoStubTransport()))
@@ -230,13 +251,7 @@ def test_complexity_score_saturates():
 
 
 def test_feature_vector_contents():
-    text = CommitText(
-        hash="cd" * 20,
-        message="fix RRC->MAC handover !123 !45",
-        files_changed=5,
-        lines_added=100,
-        lines_deleted=50,
-    )
+    text = commit("fix RRC->MAC handover !123 !45", hash="cd" * 20, files=5, added=100, deleted=50)
     result = categorize_keywords(text, CFG)
     features = build_feature_vector(text, result)
     d = features.as_dict()
@@ -281,10 +296,7 @@ def test_appending_keyword_never_lowers_category_score(message, category):
 )
 @settings(max_examples=60, deadline=None)
 def test_feature_vector_matches_layout(files, added, deleted):
-    text = CommitText(
-        hash="ee" * 20, message="fix RRC timer", files_changed=files,
-        lines_added=added, lines_deleted=deleted,
-    )
+    text = commit("fix RRC timer", hash="ee" * 20, files=files, added=added, deleted=deleted)
     features = build_feature_vector(text, categorize_keywords(text, CFG))
     assert len(features.values) == len(FEATURE_NAMES)
     d = features.as_dict()

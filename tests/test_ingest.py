@@ -211,16 +211,7 @@ def test_parse_gnb_log_needs_rules(tmp_path):
         parse_gnb_log(path, [])
 
 
-def test_load_log_rules_matches_defaults_and_rejects_junk(tmp_path):
-    from pathlib import Path
-
-    shipped = Path(__file__).resolve().parent.parent / "configs" / "log_rules.txt"
-    loaded = load_log_rules(shipped)
-    wanted = default_log_rules()
-    assert [(r.field_name, r.pattern, r.unit, r.kind) for r in loaded] == [
-        (r.field_name, r.pattern, r.unit, r.kind) for r in wanted
-    ]
-
+def test_load_log_rules_rejects_junk(tmp_path):
     bad = tmp_path / "rules.txt"
     bad.write_text("only_two_fields, pattern\n", encoding="utf-8")
     with pytest.raises(ConfigError):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from ranwatch.commitcat import CommitText, categorize_commits, default_rule_config
+from ranwatch.commitcat import categorize_commits, default_rule_config
 from ranwatch.errors import ConfigError
 from ranwatch.ingest import build_test_record, default_log_rules, scan_dataset
 from ranwatch.store import load_commits, read_records
@@ -101,21 +101,10 @@ def test_deployments_precede_their_tests_and_sort_cleanly(tmp_path):
 def test_planted_categories_survive_keyword_categorization(tmp_path):
     corpus = generate(ScenarioSpec(seed=23, n_commits=30, tests_per_commit=1), tmp_path)
     marks = {t["hash"]: t for t in read_records(corpus.truth_commits_file, kind="truth_commit")}
-    commits = load_commits(corpus.commits_file)
-    texts = [
-        CommitText(
-            hash=c.hash,
-            message=c.message,
-            files_changed=c.files_changed,
-            lines_added=c.lines_added,
-            lines_deleted=c.lines_deleted,
-        )
-        for c in commits
-    ]
-    results = categorize_commits(texts, default_rule_config())
-    for text, result, _status in results:
-        planted = set(marks[text.hash]["categories"])
-        assert planted <= set(result.affected), text.message
+    results = categorize_commits(load_commits(corpus.commits_file), default_rule_config())
+    for commit, result, _status in results:
+        planted = set(marks[commit.hash]["categories"])
+        assert planted <= set(result.affected), commit.message
 
 
 def test_scenario_validation():
