@@ -22,7 +22,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .trees import Tree, Vectorizer, grow_tree, load_ensemble
+from .trees import Forest, Vectorizer, grow_tree, load_ensemble
 
 MIN_TRAINING_ROWS = 50
 MIN_FOLD_ROWS = 10
@@ -82,7 +82,7 @@ class BaselineModel:
     vectorizer: Vectorizer
     params: BaselineParams
     seed: int
-    trees: tuple[Tree, ...]
+    trees: Forest
     target_floor: float
     target_ceiling: float
     meta: dict = field(default_factory=dict)
@@ -123,7 +123,7 @@ def train_baseline(
         vectorizer=matrix.vectorizer,
         params=params,
         seed=seed,
-        trees=tuple(trees),
+        trees=Forest.pack(trees),
         target_floor=float(np.min(y)),
         target_ceiling=float(np.max(y)),
         meta={"n_rows": n, "n_columns": d, "candidate_features": k},
@@ -140,9 +140,10 @@ def predict_matrix(model: BaselineModel, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != len(model.vectorizer.columns):
         raise DataError("prediction input has wrong number of columns")
+    leaves = model.trees.leaf_values(X)
     acc = np.zeros(X.shape[0], dtype=float)
-    for tree in model.trees:
-        acc += tree.predict(X)
+    for j in range(leaves.shape[1]):  # in tree order; another order rounds differently
+        acc += leaves[:, j]
     return np.maximum(acc / len(model.trees), 0.0)
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -113,6 +114,15 @@ _RISK_OPTIONS = {
     "smote_k": "smote_k",
 }
 _THRESHOLD_OPTIONS = {"ratio_floor": "ratio_floor", "min_expected_efficiency": "min_expected"}
+
+
+def _min_degraded(args: argparse.Namespace, cfg: dict) -> int:
+    """Degraded tests a commit needs to roll up as degraded; one rule for
+    ``analyze`` and ``report``."""
+    try:
+        return int(_resolve(args, cfg, "min_degraded", 2))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"min_degraded: {exc}") from exc
 
 
 # the built-in demo scenario, shipped with the package as a template for custom ones
@@ -333,8 +343,6 @@ def _env_matrix(rows: list) -> baseline_mod.FeatureMatrix:
     )
 
 
-
-
 def _cmd_train_baseline(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     seed = int(_resolve(args, cfg, "seed", 0))
@@ -372,7 +380,7 @@ def _cmd_train_baseline(args: argparse.Namespace) -> int:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     thresholds = _params(residual_mod.Thresholds, args, cfg, _THRESHOLD_OPTIONS)
-    min_degraded = int(_resolve(args, cfg, "min_degraded", 2))
+    min_degraded = _min_degraded(args, cfg)
     seed = int(_resolve(args, cfg, "seed", 0))
     k_folds = int(_resolve(args, cfg, "k_folds", 5))
     rows = assemble_mod.load_rows(args.rows)
@@ -567,7 +575,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = residual_mod.summarize(labels, thresholds)
-    rollups = residual_mod.commit_rollup(labels)
+    rollups = residual_mod.commit_rollup(labels, min_degraded=_min_degraded(args, cfg))
     floors = tuple(
         float(f) for f in _resolve(args, cfg, "floors", (0.8, 0.85, 0.9, 0.95, 0.98))
     )
@@ -608,7 +616,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process; parsing
+    leaves it unchanged, so every ``main`` call shares it."""
     parser = argparse.ArgumentParser(
         prog="ranwatch",
         description="attribute throughput changes to code or environment",
@@ -707,6 +718,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", dest="out_dir", required=True)
     p.add_argument("--ratio-floor", dest="ratio_floor", type=float)
     p.add_argument("--min-expected", dest="min_expected", type=float)
+    p.add_argument("--min-degraded", dest="min_degraded", type=int)
     p.add_argument("--config")
     p.set_defaults(func=_cmd_report)
 

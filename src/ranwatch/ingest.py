@@ -32,16 +32,6 @@ _DAY_RE = re.compile(r"^\d{8}$")
 _TIME_RE = re.compile(r"^\d{6}$")
 _RATE_RE = re.compile(r"(\d+(?:\.\d+)?)\s*mbps", re.IGNORECASE)
 
-IPERF_COLUMNS = (
-    "interval_start",
-    "interval_end",
-    "bytes",
-    "bits_per_second",
-    "jitter_ms",
-    "lost_packets",
-    "total_packets",
-)
-
 TRAFFIC_FIELDS = (
     "target_rate",
     "measured_throughput",
@@ -60,15 +50,6 @@ RADIO_FIELDS = (
     "harq_retx_round1",
     "harq_retx_total",
     "cqi_mean",
-)
-
-EVENT_FIELDS = (
-    "pdu_sessions_active",
-    "msg2_failures",
-    "rrc_setup",
-    "rrc_release",
-    "scheduler_warnings",
-    "error_lines",
 )
 
 _HEX_RE = re.compile(r"^[0-9a-fA-F]+$")

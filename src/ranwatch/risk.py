@@ -18,7 +18,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .trees import Tree, Vectorizer, grow_tree, load_ensemble
+from .trees import Forest, Vectorizer, grow_tree, load_ensemble
 
 _LEAF_HESSIAN_FLOOR = 1e-6
 
@@ -143,7 +143,7 @@ class RiskModel:
     params: RiskParams
     seed: int
     f0: float
-    trees: tuple[Tree, ...]
+    trees: Forest
     meta: dict = field(default_factory=dict)
 
 
@@ -193,7 +193,7 @@ def train_risk(
     neg = float(np.sum(w[y == 0]))
     f0 = math.log(pos / neg)
     f = np.full(len(y), f0, dtype=float)
-    trees: list[Tree] = []
+    trees = []
     for _ in range(params.n_estimators):
         p = _sigmoid(f)
         g = w * (y - p)
@@ -218,7 +218,7 @@ def train_risk(
         params=params,
         seed=seed,
         f0=f0,
-        trees=tuple(trees),
+        trees=Forest.pack(trees),
         meta={"n_rows": len(y), "n_positive": int(np.sum(y == 1))},
     )
 
@@ -227,9 +227,10 @@ def decision_function(model: RiskModel, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != len(model.vectorizer.columns):
         raise DataError("prediction input has wrong number of columns")
+    leaves = model.trees.leaf_values(X)
     f = np.full(X.shape[0], model.f0, dtype=float)
-    for tree in model.trees:
-        f += model.params.learning_rate * tree.predict(X)
+    for j in range(leaves.shape[1]):  # in tree order; another order rounds differently
+        f += model.params.learning_rate * leaves[:, j]
     return f
 
 

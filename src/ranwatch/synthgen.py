@@ -91,8 +91,14 @@ class Injection:
             raise ConfigError(f"injection drop must be in (0, 1), got {self.drop}")
         if self.onset_delay < 0:
             raise ConfigError("injection onset delay must be >= 0")
+        if isinstance(self.layers, str):
+            raise ConfigError(f"injection layers must be a list, got {self.layers!r}")
+        object.__setattr__(self, "layers", tuple(self.layers))
         if not self.layers:
             raise ConfigError("injection needs at least one planted layer")
+        unknown = sorted(set(self.layers) - set(PLANT_KEYWORDS))
+        if unknown:
+            raise ConfigError(f"injection names unknown layers: {unknown}")
 
 
 @dataclass(frozen=True)
@@ -147,11 +153,13 @@ def load_scenario(path: str | Path) -> ScenarioSpec:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: scenario must be a JSON object")
     try:
         injections = tuple(
             Injection(
                 commit_index=int(item["commit_index"]),
-                layers=tuple(item["layers"]),
+                layers=item["layers"],
                 drop=float(item["drop"]),
                 onset_delay=int(item.get("onset_delay", 0)),
             )

@@ -3,8 +3,14 @@
 Trees are grown by exhaustive variance-reduction split search with stable
 tie-breaking (first feature in candidate order, then lowest threshold), so
 the same data, hyperparameters, and seed always produce the same tree.
-Nodes are stored as flat parallel arrays, which keeps prediction a handful
-of vectorized gather steps and makes JSON serialization lossless.
+A ``Tree`` stores its nodes as flat parallel arrays; boosting walks one
+tree at a time while it learns leaf values.
+
+A trained model holds all its trees in one ``Forest``: the same five node
+arrays over every node of every tree, with global child indices. Prediction
+walks all (row, tree) pairs together, one depth level per numpy step, and a
+model file stores each array as base64 of its little-endian bytes, so
+reading a model is one decode per array.
 
 Both tree-ensemble models (the environment baseline and the commit risk
 classifier) also share two pieces kept here: the ``Vectorizer`` that turns
@@ -14,6 +20,7 @@ ensemble codec that writes, reads back, validates, and hashes a model file.
 
 from __future__ import annotations
 
+import base64
 import dataclasses
 import functools
 import hashlib
@@ -74,24 +81,111 @@ class Tree:
     def predict(self, X: np.ndarray) -> np.ndarray:
         return self.value[self.leaf_indices(X)]
 
-    def to_dict(self) -> dict:
-        return {
-            "feature": [int(v) for v in self.feature],
-            "threshold": [float(v) for v in self.threshold],
-            "left": [int(v) for v in self.left],
-            "right": [int(v) for v in self.right],
-            "value": [float(v) for v in self.value],
-        }
+
+# the little-endian item type of each node array in a model file
+_NODE_DTYPES = {"feature": "<i4", "threshold": "<f8", "left": "<i4", "right": "<i4", "value": "<f8"}
+_PAIRS_PER_BLOCK = 1 << 18  # (row, tree) pairs walked at once, to bound memory
+
+
+@dataclass(frozen=True, eq=False)
+class Forest:
+    """All trees of an ensemble in one set of node arrays.
+
+    The trees follow one another, ``sizes`` nodes each, in the order the
+    model sums them; child indices are global. Index arrays are ``np.intp``
+    in memory, which numpy indexes with as they are.
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+    sizes: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        """Reject, with ValueError, a forest that prediction could not walk.
+
+        A child comes after its parent and inside its tree, and a leaf's
+        children are the leaf itself, as ``grow_tree`` numbers them, so every
+        walk from a root ends at a leaf and stays there.
+        """
+        for name, dtype in _NODE_DTYPES.items():
+            kind = float if dtype == "<f8" else np.intp
+            object.__setattr__(self, name, np.asarray(getattr(self, name)).astype(kind, copy=False))
+        n_nodes = sum(self.sizes)
+        if not self.sizes or min(self.sizes) < 1:
+            raise ValueError("a forest needs trees of at least one node")
+        if any(getattr(self, name).shape != (n_nodes,) for name in _NODE_DTYPES):
+            raise ValueError("forest node arrays must match the tree sizes in length")
+        # a split's children lie in [node + 1, end of its tree); a leaf's are itself
+        node, split = np.arange(n_nodes), self.feature >= 0
+        lo = np.where(split, node + 1, node)
+        hi = np.where(split, np.repeat(np.cumsum(self.sizes), self.sizes), node + 1)
+        if self.feature.min() < -1 or np.any(
+            (self.left < lo) | (self.right < lo) | (self.left >= hi) | (self.right >= hi)
+        ):
+            raise ValueError("tree nodes point outside their tree")
+        object.__setattr__(self, "_roots", np.cumsum(self.sizes) - self.sizes)
+        # node i steps to _children[i + n_nodes * go_left]
+        object.__setattr__(self, "_children", np.concatenate([self.right, self.left]))
 
     @classmethod
-    def from_dict(cls, data: dict) -> "Tree":
-        return cls(
-            feature=np.asarray(data["feature"], dtype=np.int64),
-            threshold=np.asarray(data["threshold"], dtype=float),
-            left=np.asarray(data["left"], dtype=np.int64),
-            right=np.asarray(data["right"], dtype=np.int64),
-            value=np.asarray(data["value"], dtype=float),
-        )
+    def pack(cls, trees: Sequence[Tree]) -> "Forest":
+        sizes = tuple(len(tree.value) for tree in trees)
+        offsets = np.cumsum(sizes) - sizes
+        return cls(**{
+            name: np.concatenate([getattr(tree, name) + (off if name in ("left", "right") else 0)
+                                  for tree, off in zip(trees, offsets)])
+            for name in _NODE_DTYPES
+        }, sizes=sizes)
+
+    def __len__(self) -> int:
+        return len(self.sizes)
+
+    def leaf_values(self, X: np.ndarray) -> np.ndarray:
+        """The leaf value each tree gives each row, as (n_rows, n_trees).
+
+        All (row, tree) pairs walk down together, one depth level per numpy
+        step, until all are at leaves, whose children are themselves:
+        stepping every pair measured faster than tracking the ones still at
+        split nodes. Values equal to a threshold go left and NaN goes right,
+        as in ``Tree.leaf_indices``. Each column is contiguous, so summing
+        the columns in tree order reproduces a tree-by-tree sum bit for bit.
+        """
+        n_trees = len(self.sizes)
+        out = np.empty((n_trees, X.shape[0]))
+        block = max(1, _PAIRS_PER_BLOCK // n_trees)
+        for lo in range(0, X.shape[0], block):
+            cells = np.ascontiguousarray(X[lo:lo + block])
+            n, d = cells.shape
+            offset = np.tile(np.arange(n) * d, n_trees)  # pair (row i, tree j) sits at j * n + i
+            node = np.repeat(self._roots, n)
+            while (feature := self.feature[node]).max() >= 0:
+                # a pair at a leaf reads any cell (feature -1); both its children are the leaf
+                go_left = cells.ravel()[offset + feature] <= self.threshold[node]
+                node = self._children[node + self.value.size * go_left]
+            out[:, lo:lo + block] = self.value[node].reshape(n_trees, n)
+        return out.T
+
+    def encode(self) -> dict:
+        return {"sizes": list(self.sizes), **{
+            name: base64.b64encode(getattr(self, name).astype(dtype).tobytes()).decode("ascii")
+            for name, dtype in _NODE_DTYPES.items()
+        }}
+
+    @classmethod
+    def decode(cls, data: dict, n_columns: int) -> "Forest":
+        """Read ``encode``'s output back; ValueError or TypeError if malformed."""
+        if not all(type(size) is int for size in data["sizes"]):
+            raise TypeError("forest sizes must be integers")
+        forest = cls(**{
+            name: np.frombuffer(base64.b64decode(data[name], validate=True), dtype=dtype)
+            for name, dtype in _NODE_DTYPES.items()
+        }, sizes=tuple(data["sizes"]))
+        if forest.feature.max() >= n_columns:
+            raise ValueError("tree nodes name a column the model lacks")
+        return forest
 
 
 def _best_split(
@@ -241,7 +335,7 @@ def ensemble_record(model) -> dict:
         "imputation": model.vectorizer.imputation,
         "hyperparameters": {**dataclasses.asdict(model.params), "seed": model.seed},
         "meta": model.meta,
-        "trees": [tree.to_dict() for tree in model.trees],
+        "forest": model.trees.encode(),
     }
     for name in _scalar_fields(type(model)):
         record[name] = getattr(model, name)
@@ -262,36 +356,6 @@ def _number(value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"expected a number, got {value!r}")
     return float(value)
-
-
-def _check_trees(trees: tuple[Tree, ...], n_columns: int) -> None:
-    """Reject trees that prediction could not walk, all trees in one pass.
-
-    Children come after their parent, as ``grow_tree`` numbers them, so
-    every walk from the root ends at a leaf.
-    """
-    if not trees:
-        raise ValueError("model has no trees")
-    shapes = [tree.value.shape for tree in trees]
-    if any(len(n) != 1 or n[0] == 0 for n in shapes) or any(
-        [getattr(tree, name).shape for tree in trees] != shapes
-        for name in ("feature", "threshold", "left", "right")
-    ):
-        raise ValueError("tree node arrays must be non-empty and of one length")
-    sizes = [n[0] for n in shapes]
-    size = np.repeat(sizes, sizes)
-    node = np.arange(size.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    feature = np.concatenate([tree.feature for tree in trees])
-    split = feature >= 0
-    node, size = node[split], size[split]
-    left = np.concatenate([tree.left for tree in trees])[split]
-    right = np.concatenate([tree.right for tree in trees])[split]
-    if (
-        feature.min() < -1
-        or feature.max() >= n_columns
-        or np.any((left <= node) | (right <= node) | (left >= size) | (right >= size))
-    ):
-        raise ValueError("tree nodes point outside the tree or the columns")
 
 
 @functools.cache
@@ -339,8 +403,7 @@ def load_ensemble(path: str | Path, model_cls: type):
         if not all(isinstance(c, str) for c in columns):
             raise TypeError("column names must be strings")
         imputation = {c: _number(record["imputation"][c]) for c in columns}
-        trees = tuple(Tree.from_dict(t) for t in record["trees"])
-        _check_trees(trees, len(columns))
+        trees = Forest.decode(record["forest"], len(columns))
         return model_cls(
             vectorizer=Vectorizer(columns, imputation),
             params=params,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -21,8 +22,18 @@ from ranwatch.baseline import (
     regression_metrics,
     train_baseline,
 )
+import ranwatch.trees as trees_mod
 from ranwatch.errors import ConfigError, DataError
-from ranwatch.trees import Tree, Vectorizer, ensemble_hash, grow_tree, save_ensemble
+from ranwatch.risk import RiskParams, decision_function, train_risk
+from ranwatch.trees import (
+    Forest,
+    Tree,
+    Vectorizer,
+    ensemble_hash,
+    grow_tree,
+    load_ensemble,
+    save_ensemble,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -67,10 +78,13 @@ def test_tree_round_trips_through_dict():
     rng = np.random.default_rng(6)
     X = rng.normal(size=(40, 4))
     y = rng.normal(size=40)
-    tree = grow_tree(X, y, max_depth=5)
-    clone = Tree.from_dict(tree.to_dict())
+    trees = [grow_tree(X, y, max_depth=5), grow_tree(X[::-1], 2.0 * y[::-1], max_depth=3)]
+    record = json.loads(json.dumps(Forest.pack(trees).encode()))
+    clone = Forest.decode(record, n_columns=4)
+    assert clone.sizes == tuple(len(tree.value) for tree in trees)
     probe = rng.normal(size=(25, 4))
-    assert np.array_equal(tree.predict(probe), clone.predict(probe))
+    expected = np.column_stack([tree.predict(probe) for tree in trees])
+    assert np.array_equal(clone.leaf_values(probe), expected)
 
 
 @given(seed=st.integers(0, 2**16), depth=st.integers(1, 6))
@@ -84,6 +98,87 @@ def test_tree_predictions_bounded_by_training_targets(seed, depth):
     pred = tree.predict(probe)
     assert pred.min() >= y.min() - 1e-12
     assert pred.max() <= y.max() + 1e-12
+
+
+def _unpacked(forest: Forest) -> list[Tree]:
+    """The trees of ``forest`` one by one, with child indices local again."""
+    trees, start = [], 0
+    for size in forest.sizes:
+        part = slice(start, start + size)
+        trees.append(Tree(
+            feature=np.asarray(forest.feature[part], dtype=np.int64),
+            threshold=np.asarray(forest.threshold[part]),
+            left=np.asarray(forest.left[part], dtype=np.int64) - start,
+            right=np.asarray(forest.right[part], dtype=np.int64) - start,
+            value=np.asarray(forest.value[part]),
+        ))
+        start += size
+    return trees
+
+
+def _probe_on_thresholds(forest: Forest, n_columns: int, seed: int) -> np.ndarray:
+    """Random rows plus one row per split node holding exactly its threshold."""
+    rng = np.random.default_rng(seed)
+    split = np.flatnonzero(forest.feature >= 0)
+    probe = rng.uniform(0, 10, size=(split.size + 40, n_columns))
+    probe[np.arange(split.size), forest.feature[split]] = forest.threshold[split]
+    return probe
+
+
+def test_forest_walk_sends_ties_left():
+    tree = grow_tree(np.array([[0.0], [1.0]]), np.array([3.0, 7.0]), max_depth=1)
+    forest = Forest.pack([tree, tree])
+    assert forest.leaf_values(np.array([[0.5], [0.5000001]])).tolist() == [[3.0, 3.0], [7.0, 7.0]]
+
+
+@pytest.mark.parametrize(
+    "left,right",
+    [
+        ([0, 2, 1, 3], [0, 3, 2, 3]),  # a leaf back to its tree's split
+        ([0, 2, 2, 3], [0, 3, 2, 1]),
+        ([1, 2, 2, 3], [0, 3, 2, 3]),  # a root leaf into the next tree
+        ([0, 2, 2, 9], [0, 3, 2, 3]),  # a leaf child past the last node
+    ],
+)
+def test_forest_rejects_a_leaf_that_does_not_point_at_itself(left, right):
+    # tree 0 is one leaf, tree 1 a split at node 1 with leaves 2 and 3
+    with pytest.raises(ValueError, match="outside their tree"):
+        Forest(feature=[-1, 0, -1, -1], threshold=[0.0] * 4, left=left, right=right,
+               value=[0.0] * 4, sizes=(1, 3))
+
+
+@pytest.mark.parametrize("kind", ["baseline", "risk"])
+def test_forest_predictions_equal_per_tree_sums_bit_for_bit(tmp_path, monkeypatch, kind):
+    matrix, y = _smooth_data(n=120, seed=3)
+    if kind == "baseline":
+        model = train_baseline(matrix, y, BaselineParams(n_trees=12, max_depth=5), seed=5)
+    else:
+        labels = (y > np.median(y)).astype(int)
+        params = RiskParams(n_estimators=15, max_depth=3)
+        model = train_risk(matrix.values, labels, params, 5, matrix.vectorizer)
+    probe = _probe_on_thresholds(model.trees, 3, seed=11)
+    assert probe.shape[0] > 60
+    trees = _unpacked(model.trees)
+    if kind == "baseline":
+        acc = np.zeros(probe.shape[0])
+        for tree in trees:
+            acc += tree.predict(probe)
+        expected = np.maximum(acc / len(trees), 0.0)
+        predict = predict_matrix
+    else:
+        expected = np.full(probe.shape[0], model.f0)
+        for tree in trees:
+            expected += model.params.learning_rate * tree.predict(probe)
+        predict = decision_function
+    assert predict(model, probe).tobytes() == expected.tobytes()
+    monkeypatch.setattr(trees_mod, "_PAIRS_PER_BLOCK", 5 * len(trees))  # walk 5 rows at a time
+    assert predict(model, probe).tobytes() == expected.tobytes()
+
+    path = tmp_path / "model.json"
+    save_ensemble(model, path)
+    clone = load_ensemble(path, type(model))
+    assert ensemble_hash(clone) == ensemble_hash(model)
+    assert predict(clone, probe).tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from ranwatch.cli import EXIT_CONFIG, EXIT_DATA, EXIT_DEGRADED, EXIT_OK, main
+from ranwatch.cli import EXIT_CONFIG, EXIT_DATA, EXIT_DEGRADED, EXIT_OK, build_parser, main
 from ranwatch.store import read_records
 
 
@@ -274,6 +276,63 @@ def test_config_file_versus_flag_precedence(pipeline, tmp_path):
     assert code == EXIT_DEGRADED
 
 
+def _degraded_commits(analysis: Path) -> tuple[int, int]:
+    header, rows = _read_tsv(analysis / "commit_rollup.tsv")
+    return sum(row[header.index("verdict")] == "degraded" for row in rows), len(rows)
+
+
+def test_consecutive_main_calls_leak_no_state(pipeline, tmp_path):
+    rows = str(pipeline["paths"]["rows"])
+    # at a 0.95 floor one demo commit has a single degraded test
+    first = ["analyze", "--rows", rows, "--ratio-floor", "0.95"]
+    assert main(first + ["--out-dir", str(tmp_path / "a1"), "--min-degraded", "1"]) == EXIT_DEGRADED
+    assert main(first + ["--out-dir", str(tmp_path / "a2")]) == EXIT_DEGRADED
+    assert _degraded_commits(tmp_path / "a1") == (3, 12)
+    assert _degraded_commits(tmp_path / "a2") == (2, 12)  # the default of 2 again
+    assert main(["analyze", "--rows", rows, "--out-dir", str(tmp_path / "a3")]) == EXIT_DEGRADED
+    name = "commit_rollup.tsv"
+    assert _digest(tmp_path / "a3" / name) == _digest(pipeline["paths"]["analysis"] / name)
+    assert build_parser() is build_parser()
+
+
+def test_report_counts_the_degraded_commits_analyze_found(pipeline, tmp_path, capsys):
+    rows = str(pipeline["paths"]["rows"])
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"min_degraded": 1}), encoding="utf-8")
+    counts = {}
+    for label, option in (("1", ["--min-degraded", "1"]), ("2", []),
+                          ("config", ["--config", str(config)])):
+        analysis, report = tmp_path / f"analysis_{label}", tmp_path / f"report_{label}"
+        assert main(["analyze", "--rows", rows, "--out-dir", str(analysis),
+                     "--ratio-floor", "0.95"] + option) == EXIT_DEGRADED
+        assert main(["report", "--labels", str(analysis / "labels.jsonl"),
+                     "--out-dir", str(report)] + option) == EXIT_OK
+        counts[label] = n_degraded, n_commits = _degraded_commits(analysis)
+        summary = (report / "summary.txt").read_text(encoding="utf-8")
+        assert f"commits degraded: {n_degraded} of {n_commits}" in summary
+    assert counts["1"] == counts["config"] == (3, 12)
+    assert counts["2"] == (2, 12)
+    capsys.readouterr()
+
+
+def test_scenario_that_is_not_an_object_exits_2(tmp_path, capsys):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text('"demo"', encoding="utf-8")
+    assert main(["synth", "--scenario", str(scenario), "--out", str(tmp_path / "c")]) == EXIT_CONFIG
+    assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("layers", ["PDCP", ["PDCP", "LTE"]])
+def test_injection_with_unknown_layers_exits_2(tmp_path, capsys, layers):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({
+        "seed": 1, "n_commits": 2, "tests_per_commit": 2,
+        "injections": [{"commit_index": 1, "layers": layers, "drop": 0.4}],
+    }), encoding="utf-8")
+    assert main(["synth", "--scenario", str(scenario), "--out", str(tmp_path / "c")]) == EXIT_CONFIG
+    assert "config error:" in capsys.readouterr().err
+
+
 _BASELINE_KEYS = [
     ("hyperparameters", "n_trees"),
     ("hyperparameters", "max_depth"),
@@ -282,7 +341,7 @@ _BASELINE_KEYS = [
     ("hyperparameters", "seed"),
     ("columns",),
     ("imputation",),
-    ("trees",),
+    ("forest",),
     ("target_floor",),
     ("target_ceiling",),
 ]
@@ -296,14 +355,20 @@ _RISK_KEYS = [
     ("hyperparameters", "seed"),
     ("columns",),
     ("imputation",),
-    ("trees",),
+    ("forest",),
     ("f0",),
 ]
 
 
-def _tree(feature: list[int], left: list[int]) -> dict:
-    return {"feature": feature, "threshold": [0.5, 0.0, 0.0], "left": left,
-            "right": [2, 1, 2], "value": [0.0, 0.0, 1.0]}
+def _b64(dtype: str, values: list) -> str:
+    return base64.b64encode(np.asarray(values, dtype=dtype).tobytes()).decode("ascii")
+
+
+def _forest(feature: list[int], left: list[int], sizes: tuple[int, ...] = (3,)) -> dict:
+    """A packed forest of three nodes, as a model file stores it."""
+    return {"sizes": list(sizes), "feature": _b64("<i4", feature), "left": _b64("<i4", left),
+            "right": _b64("<i4", [2, 1, 2]), "threshold": _b64("<f8", [0.5, 0.0, 0.0]),
+            "value": _b64("<f8", [0.0, 0.0, 1.0])}
 
 
 # (key path, bad value): wrong types, out-of-range values, unwalkable trees
@@ -316,10 +381,15 @@ _BAD_VALUES = [
     (("hyperparameters",), []),
     (("columns",), ["rsrp", 3]),
     (("imputation", "rsrp"), "median"),
-    (("trees",), []),
-    (("trees", 0, "left"), [0]),
-    (("trees", 0), _tree(feature=[0, -1, -1], left=[0, 1, 2])),  # loops at the root
-    (("trees", 0), _tree(feature=[99, -1, -1], left=[1, 1, 2])),  # no such column
+    (("forest",), _forest(feature=[], left=[], sizes=())),  # no trees
+    (("forest", "left"), _b64("<i4", [0])),  # arrays of unequal length
+    (("forest",), _forest(feature=[0, -1, -1], left=[0, 1, 2])),  # loops at the root
+    (("forest",), _forest(feature=[99, -1, -1], left=[1, 1, 2])),  # no such column
+    (("forest", "value"), "not base64!"),
+    (("forest", "threshold"), _b64("<i4", [0])),  # 4 bytes, not a multiple of 8
+    (("forest", "sizes"), [1]),  # do not sum to the node count
+    (("forest",), _forest(feature=[0, -1, -1], left=[1, 1, 2], sizes=(0, 3))),
+    (("forest",), _forest(feature=[0, -1, -1], left=[1, 1, 2], sizes=(-1, 4))),
 ]
 
 
@@ -365,10 +435,21 @@ def test_model_file_with_a_bad_value_exits_1(pipeline, tmp_path, capsys, model, 
     assert "data error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("model", ["baseline", "risk"])
+@pytest.mark.parametrize("left", [[1, 0, 2], [1, 99, 2]], ids=["to-root", "past-end"])
+def test_model_file_with_a_leaf_not_pointing_at_itself_exits_1(
+    pipeline, tmp_path, capsys, model, left
+):
+    forest = _forest(feature=[0, -1, -1], left=left)
+    path = _corrupt(pipeline, model, ("forest",), tmp_path, forest, delete=False)
+    assert main(_model_stage(pipeline, model, path, tmp_path)) == EXIT_DATA
+    assert "data error:" in capsys.readouterr().err
+
+
 def test_model_files_share_one_layout(pipeline, tmp_path, capsys):
     baseline = json.loads(pipeline["paths"]["baseline"].read_text(encoding="utf-8"))
     risk = json.loads(pipeline["paths"]["risk"].read_text(encoding="utf-8"))
-    shared = {"kind", "schema_version", "columns", "imputation", "hyperparameters", "meta", "trees"}
+    shared = {"kind", "schema_version", "columns", "imputation", "hyperparameters", "meta", "forest"}
     assert set(baseline) == shared | {"target_floor", "target_ceiling"}
     assert set(risk) == shared | {"f0"}
     assert "imputation" not in risk["meta"]
@@ -380,6 +461,14 @@ def test_model_files_share_one_layout(pipeline, tmp_path, capsys):
     path.write_text(json.dumps(old), encoding="utf-8")
     assert main(_model_stage(pipeline, "risk", path, tmp_path)) == EXIT_DATA
     assert "retrain" in capsys.readouterr().err
+    # so must a model written with a list of per-tree node lists, not a packed forest
+    for model, record in (("baseline", baseline), ("risk", risk)):
+        old = {key: value for key, value in record.items() if key != "forest"}
+        old["trees"] = [{"feature": [-1], "threshold": [0.0], "left": [0], "right": [0],
+                         "value": [0.5]}]
+        path.write_text(json.dumps(old), encoding="utf-8")
+        assert main(_model_stage(pipeline, model, path, tmp_path)) == EXIT_DATA
+        assert "retrain" in capsys.readouterr().err
 
 
 def _inputs(pipeline) -> dict[str, Path]:
