@@ -104,6 +104,8 @@ def train_baseline(
         raise DataError("target contains non-finite values")
     if float(np.var(y)) == 0.0:
         raise DataError("target is constant, nothing to learn")
+    if seed < 0:
+        raise ConfigError("seed must be >= 0")
     k = params.candidate_features(d)
     trees = []
     for t in range(params.n_trees):
@@ -171,10 +173,6 @@ def regression_metrics(y_true: np.ndarray, y_pred: np.ndarray) -> RegressionMetr
     mae = float(np.mean(np.abs(resid)))
     rmse = float(math.sqrt(np.mean(resid**2)))
     return RegressionMetrics(r2=r2, mae=mae, rmse=rmse, n=y_true.size)
-
-
-def evaluate(model: BaselineModel, X: np.ndarray, y: np.ndarray) -> RegressionMetrics:
-    return regression_metrics(np.asarray(y, float), predict_matrix(model, X))
 
 
 def chronological_split(n: int, test_fraction: float = 0.2) -> tuple[np.ndarray, np.ndarray]:

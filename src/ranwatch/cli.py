@@ -60,6 +60,18 @@ def _write_tsv(path: Path, header: tuple[str, ...], rows: list[tuple]) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _write_records_tsv(path: Path, cls, records, key: str | None = None) -> None:
+    """One row per dataclass record, one column per field of ``cls`` in
+    field order. With ``key``, ``records`` holds ``(value, record)`` pairs
+    and a leading column of that name holds the values."""
+    header = tuple(f.name for f in dataclasses.fields(cls))
+    if key is None:
+        _write_tsv(path, header, [dataclasses.astuple(r) for r in records])
+    else:
+        rows = [(value, *dataclasses.astuple(r)) for value, r in records]
+        _write_tsv(path, (key, *header), rows)
+
+
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
@@ -75,36 +87,57 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _resolve(args: argparse.Namespace, cfg: dict, name: str, default):
-    """Flag beats config file beats default."""
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    if name in cfg:
-        return cfg[name]
-    return default
+# Defaults of the options that feed no parameter dataclass. Any other option
+# defaults to None: its dataclass default, or for target_rate each CSV name's rate.
+_DEFAULTS = {
+    "seed": 0, "k_folds": 5, "test_fraction": 0.2, "retries": 2, "concurrency": 4,
+    "refine": "none", "max_bins": 5, "threshold": 0.5, "min_degraded": 2,
+    "floors": (0.8, 0.85, 0.9, 0.95, 0.98),
+}
 
 
-def _params(cls, args: argparse.Namespace, cfg: dict, options: dict[str, str]):
-    """A parameter dataclass from the flags or config keys that are set.
+def _add_option(p: argparse.ArgumentParser, flag: str, **kwargs) -> None:
+    """Add a flag whose value a config file may also set, under its dest."""
+    action = p.add_argument(flag, **kwargs)
+    p.set_defaults(options=(*(p.get_default("options") or ()), action))
 
-    ``options`` maps a field of ``cls`` to its flag and config name. A field
-    no flag or key sets keeps its dataclass default, the one place defaults
-    live; a set value is converted to the type of that default.
+
+def _from_config(action: argparse.Action, value):
+    """A config value converted by its flag's ``type``, as if typed after it."""
+    try:
+        if action.nargs is None:
+            return action.type(str(value))
+        if not isinstance(value, list) or not value:
+            raise ValueError(f"expected a non-empty list, got {value!r}")
+        return [action.type(str(v)) for v in value]
+    except ValueError as exc:
+        raise ConfigError(f"{action.dest}: {exc}") from exc
+
+
+def _set_options(args: argparse.Namespace) -> None:
+    """Give each option of the stage its value: the flag if typed, else the
+    config file's key of the same name, else the default."""
+    cfg = _load_config(getattr(args, "config", None))
+    for action in getattr(args, "options", ()):
+        name = action.dest
+        if getattr(args, name) is None and name in cfg:
+            setattr(args, name, _from_config(action, cfg[name]))
+        if getattr(args, name) is None:
+            setattr(args, name, _DEFAULTS.get(name))
+
+
+def _params(cls, args: argparse.Namespace, options: dict[str, str]):
+    """A parameter dataclass from the options that are set.
+
+    ``options`` maps a field of ``cls`` to its option. A field no flag or
+    config key sets keeps its dataclass default, the one place hyperparameter
+    defaults live.
     """
-    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
-    kwargs = {}
-    for name, option in options.items():
-        value = _resolve(args, cfg, option, None)
-        if value is not None:
-            try:
-                kwargs[name] = type(defaults[name])(value)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"{option}: {exc}") from exc
-    return cls(**kwargs)
+    kwargs = {name: getattr(args, option) for name, option in options.items()}
+    return cls(**{name: value for name, value in kwargs.items() if value is not None})
 
 
-# parameter field -> flag and config name
+# parameter field -> option
 _BASELINE_OPTIONS = {"n_trees": "trees", "max_depth": "depth"}
 _RISK_OPTIONS = {
     "n_estimators": "estimators",
@@ -114,15 +147,6 @@ _RISK_OPTIONS = {
     "smote_k": "smote_k",
 }
 _THRESHOLD_OPTIONS = {"ratio_floor": "ratio_floor", "min_expected_efficiency": "min_expected"}
-
-
-def _min_degraded(args: argparse.Namespace, cfg: dict) -> int:
-    """Degraded tests a commit needs to roll up as degraded; one rule for
-    ``analyze`` and ``report``."""
-    try:
-        return int(_resolve(args, cfg, "min_degraded", 2))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"min_degraded: {exc}") from exc
 
 
 # the built-in demo scenario, shipped with the package as a template for custom ones
@@ -136,7 +160,7 @@ def _make_refine_client(mode: str, retries: int) -> refine.RefinementClient | No
         return refine.RefinementClient(refine.EchoStubTransport(), retries=retries)
     if "://" in mode:
         return refine.RefinementClient(refine.HttpTextTransport(mode), retries=retries)
-    raise ConfigError(f"--refine must be 'stub', 'none', or a URL, got {mode!r}")
+    raise ConfigError(f"refine must be 'stub', 'none', or a URL, got {mode!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +177,6 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
     rules = (
         ingest_mod.load_log_rules(args.log_rules)
         if args.log_rules
@@ -163,7 +186,6 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     entries, warnings = ingest_mod.scan_dataset(args.dataset)
     for warning in warnings:
         print(f"warning: {warning.path}: {warning.reason}", file=sys.stderr)
-    target_rate = _resolve(args, cfg, "target_rate", None)
     records = []
     rejected = 0
     for entry in entries:
@@ -175,7 +197,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
                 entry,
                 rules,
                 commit_hash,
-                target_rate=target_rate,
+                target_rate=args.target_rate,
             )
         except DataError as exc:
             rejected += 1
@@ -190,20 +212,16 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _cmd_categorize(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
     config = (
         commitcat.load_rule_config(args.rules)
         if args.rules
         else commitcat.default_rule_config()
     )
-    retries = int(_resolve(args, cfg, "retries", 2))
-    mode = _resolve(args, cfg, "refine", "none")
-    client = _make_refine_client(mode, retries)
     outcomes = commitcat.categorize_commits(
         load_commits(args.commits),
         config,
-        client=client,
-        concurrency=int(_resolve(args, cfg, "concurrency", 4)),
+        client=_make_refine_client(args.refine, args.retries),
+        concurrency=args.concurrency,
     )
     records = []
     status_counts: dict[str, int] = {}
@@ -287,9 +305,7 @@ def _decomposition_groups(rows: list) -> dict[str, list[tuple[str, np.ndarray]]]
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
-    max_bins = int(_resolve(args, cfg, "max_bins", 5))
-    if max_bins < 2:
+    if args.max_bins < 2:
         raise ConfigError("max_bins must be >= 2")
     rows = assemble_mod.load_rows(args.rows)
     raw_groups = _decomposition_groups(rows)
@@ -305,7 +321,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         binned: dict[str, list[np.ndarray]] = {}
         for group, columns in raw_groups.items():
             binned[group] = [
-                _discretize_column(vals[keep], max_bins, name) for name, vals in columns
+                _discretize_column(vals[keep], args.max_bins, name) for name, vals in columns
             ]
         for group in ("channel", "load", "code"):
             conditioning = [
@@ -344,45 +360,37 @@ def _env_matrix(rows: list) -> baseline_mod.FeatureMatrix:
 
 
 def _cmd_train_baseline(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
-    seed = int(_resolve(args, cfg, "seed", 0))
-    options = {**_BASELINE_OPTIONS, "min_samples_leaf": "min_samples_leaf"}
-    params = _params(baseline_mod.BaselineParams, args, cfg, options)
-    test_fraction = float(_resolve(args, cfg, "test_fraction", 0.2))
+    params = _params(baseline_mod.BaselineParams, args, _BASELINE_OPTIONS)
     rows = assemble_mod.load_rows(args.rows)
-    train_idx, test_idx = baseline_mod.chronological_split(len(rows), test_fraction)
+    train_idx, test_idx = baseline_mod.chronological_split(len(rows), args.test_fraction)
     train_rows = [rows[i] for i in train_idx]
     test_rows = [rows[i] for i in test_idx]
     matrix = _env_matrix(train_rows)
     y_train = np.array([r.efficiency for r in train_rows], dtype=float)
-    model = baseline_mod.train_baseline(matrix, y_train, params, seed)
+    model = baseline_mod.train_baseline(matrix, y_train, params, args.seed)
 
     X_test = model.vectorizer.transform([r.env for r in test_rows])
     y_test = np.array([r.efficiency for r in test_rows], dtype=float)
     pred = baseline_mod.predict_matrix(model, X_test)
-    eff_metrics = baseline_mod.regression_metrics(y_test, pred)
     rates = np.array([r.target_rate for r in test_rows], dtype=float)
-    mbps_metrics = baseline_mod.regression_metrics(y_test * rates, pred * rates)
+    metrics = {
+        "efficiency": baseline_mod.regression_metrics(y_test, pred),
+        "mbps": baseline_mod.regression_metrics(y_test * rates, pred * rates),
+    }
 
     save_ensemble(model, args.out)
-    metric_rows = [
-        ("efficiency", eff_metrics.r2, eff_metrics.mae, eff_metrics.rmse, eff_metrics.n),
-        ("mbps", mbps_metrics.r2, mbps_metrics.mae, mbps_metrics.rmse, mbps_metrics.n),
-    ]
     if args.metrics:
-        _write_tsv(Path(args.metrics), ("unit", "r2", "mae", "rmse", "n"), metric_rows)
+        _write_records_tsv(
+            Path(args.metrics), baseline_mod.RegressionMetrics, metrics.items(), key="unit"
+        )
     print(f"model: {args.out} (hash {ensemble_hash(model)[:12]})")
-    for unit, r2, mae, rmse, n in metric_rows:
-        print(f"held-out {unit}: r2={r2:.4f} mae={mae:.4g} rmse={rmse:.4g} n={n}")
+    for unit, m in metrics.items():
+        print(f"held-out {unit}: r2={m.r2:.4f} mae={m.mae:.4g} rmse={m.rmse:.4g} n={m.n}")
     return EXIT_OK
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
-    thresholds = _params(residual_mod.Thresholds, args, cfg, _THRESHOLD_OPTIONS)
-    min_degraded = _min_degraded(args, cfg)
-    seed = int(_resolve(args, cfg, "seed", 0))
-    k_folds = int(_resolve(args, cfg, "k_folds", 5))
+    thresholds = _params(residual_mod.Thresholds, args, _THRESHOLD_OPTIONS)
     rows = assemble_mod.load_rows(args.rows)
 
     if args.model:
@@ -392,9 +400,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     else:
         matrix = _env_matrix(rows)
         y = np.array([r.efficiency for r in rows], dtype=float)
-        params = _params(baseline_mod.BaselineParams, args, cfg, _BASELINE_OPTIONS)
+        params = _params(baseline_mod.BaselineParams, args, _BASELINE_OPTIONS)
         expected = baseline_mod.cross_fit_predictions(
-            matrix, y, params, seed, k_folds=k_folds
+            matrix, y, params, args.seed, k_folds=args.k_folds
         )
 
     rows = [
@@ -412,34 +420,16 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         ("metric", "value"),
         [(k, getattr(summary, k)) for k in summary.__dataclass_fields__],
     )
-    _write_tsv(
-        out_dir / "layer_impact.tsv",
-        ("layer", "degraded_cases", "mean_ratio", "median_ratio", "std_ratio"),
-        [
-            (r.layer, r.degraded_cases, r.mean_ratio, r.median_ratio, r.std_ratio)
-            for r in residual_mod.layer_impact_table(labels)
-        ],
-    )
-    rollups = residual_mod.commit_rollup(labels, min_degraded=min_degraded)
-    _write_tsv(
-        out_dir / "commit_rollup.tsv",
-        ("commit_hash", "n_tests", "n_degraded", "min_ratio", "mean_ratio", "verdict"),
-        [
-            (r.commit_hash, r.n_tests, r.n_degraded, r.min_ratio, r.mean_ratio, r.verdict)
-            for r in rollups
-        ],
-    )
+    layers = residual_mod.layer_impact_table(labels)
+    _write_records_tsv(out_dir / "layer_impact.tsv", residual_mod.LayerImpact, layers)
+    rollups = residual_mod.commit_rollup(labels, min_degraded=args.min_degraded)
+    _write_records_tsv(out_dir / "commit_rollup.tsv", residual_mod.CommitRollup, rollups)
     _write_tsv(
         out_dir / "residual_hist.tsv",
         ("bin_lo", "bin_hi", "count"),
         residual_mod.ratio_histogram(labels),
     )
-    temporal = {
-        t.commit_hash: t
-        for t in residual_mod.temporal_scores(
-            labels, ratio_floor=thresholds.ratio_floor
-        )
-    }
+    temporal = {t.commit_hash: t for t in residual_mod.temporal_scores(labels, thresholds)}
     _write_tsv(
         out_dir / "temporal_comparison.tsv",
         ("commit_hash", "residual_verdict", "temporal_score", "temporal_flag"),
@@ -471,10 +461,7 @@ def _risk_binary_slots() -> tuple[int, ...]:
 
 
 def _cmd_train_risk(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
-    seed = int(_resolve(args, cfg, "seed", 0))
-    test_fraction = float(_resolve(args, cfg, "test_fraction", 0.2))
-    params = _params(risk_mod.RiskParams, args, cfg, _RISK_OPTIONS)
+    params = _params(risk_mod.RiskParams, args, _RISK_OPTIONS)
     rows = assemble_mod.load_rows(args.rows)
     labels = [
         residual_mod.DegradationLabel.decode(r)
@@ -489,16 +476,16 @@ def _cmd_train_risk(args: argparse.Namespace) -> int:
         y_all.append(1 if degraded_by_test[key] else 0)
     y_all = np.array(y_all, dtype=int)
 
-    train_idx, test_idx = baseline_mod.chronological_split(len(rows), test_fraction)
+    train_idx, test_idx = baseline_mod.chronological_split(len(rows), args.test_fraction)
     train_rows = [rows[i] for i in train_idx]
     matrix = baseline_mod.build_feature_matrix(
         _RISK_COLUMNS, [{**r.env, **r.commit} for r in train_rows]
     )
     y_train = y_all[train_idx]
     X_bal, y_bal, synthetic = risk_mod.balance_training_set(
-        matrix.values, y_train, params, seed, _risk_binary_slots()
+        matrix.values, y_train, params, args.seed, _risk_binary_slots()
     )
-    model = risk_mod.train_risk(X_bal, y_bal, params, seed, matrix.vectorizer)
+    model = risk_mod.train_risk(X_bal, y_bal, params, args.seed, matrix.vectorizer)
     model.meta["n_synthetic"] = int(synthetic.sum())
     save_ensemble(model, args.out)
 
@@ -521,33 +508,17 @@ def _cmd_train_risk(args: argparse.Namespace) -> int:
         auc = risk_mod.roc_auc(y_test, risk_mod.predict_proba(model, X_test))
         lines.append(f"held-out auc {auc:.4f}")
     if args.metrics:
-        _write_tsv(
+        _write_records_tsv(
             Path(args.metrics),
-            ("class", "precision", "recall", "f1", "support"),
-            [
-                (
-                    "degraded",
-                    metrics.positive.precision,
-                    metrics.positive.recall,
-                    metrics.positive.f1,
-                    metrics.positive.support,
-                ),
-                (
-                    "clean",
-                    metrics.negative.precision,
-                    metrics.negative.recall,
-                    metrics.negative.f1,
-                    metrics.negative.support,
-                ),
-            ],
+            risk_mod.ClassReport,
+            [("degraded", metrics.positive), ("clean", metrics.negative)],
+            key="class",
         )
     print("\n".join(lines))
     return EXIT_OK
 
 
 def _cmd_score(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
-    threshold = float(_resolve(args, cfg, "threshold", 0.5))
     model = risk_mod.load_model(args.model)
     feature_records = read_records(args.features, kind="commit_features")
     if not feature_records:
@@ -555,17 +526,16 @@ def _cmd_score(args: argparse.Namespace) -> int:
     features = [commitcat.CommitFeatures.decode(r) for r in feature_records]
     X = model.vectorizer.transform([f.as_dict() for f in features])
     proba = risk_mod.predict_proba(model, X).tolist()
-    out_rows = [(f.commit_hash, p, p >= threshold) for f, p in zip(features, proba)]
+    out_rows = [(f.commit_hash, p, p >= args.threshold) for f, p in zip(features, proba)]
     out_rows.sort(key=lambda r: (-r[1], r[0]))
     _write_tsv(Path(args.out), ("commit_hash", "risk", "flagged"), out_rows)
     flagged = sum(1 for r in out_rows if r[2])
-    print(f"scored {len(out_rows)} commits, {flagged} above {threshold:g}")
+    print(f"scored {len(out_rows)} commits, {flagged} above {args.threshold:g}")
     return EXIT_OK
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
-    thresholds = _params(residual_mod.Thresholds, args, cfg, _THRESHOLD_OPTIONS)
+    thresholds = _params(residual_mod.Thresholds, args, _THRESHOLD_OPTIONS)
     labels = [
         residual_mod.DegradationLabel.decode(r)
         for r in read_records(args.labels, kind="label")
@@ -575,13 +545,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = residual_mod.summarize(labels, thresholds)
-    rollups = residual_mod.commit_rollup(labels, min_degraded=_min_degraded(args, cfg))
-    floors = tuple(
-        float(f) for f in _resolve(args, cfg, "floors", (0.8, 0.85, 0.9, 0.95, 0.98))
-    )
-    tradeoff = residual_mod.coverage_tradeoff(
-        labels, floors, min_expected=thresholds.min_expected_efficiency
-    )
+    rollups = residual_mod.commit_rollup(labels, min_degraded=args.min_degraded)
+    tradeoff = residual_mod.coverage_tradeoff(labels, args.floors, thresholds)
     _write_tsv(
         out_dir / "floor_tradeoff.tsv",
         ("floor", "retained_fraction", "flagged_tests", "retained_std"),
@@ -635,8 +600,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--commits")
     p.add_argument("--out", required=True)
-    p.add_argument("--log-rules", dest="log_rules")
-    p.add_argument("--target-rate", dest="target_rate", type=float)
+    p.add_argument("--log-rules")
+    _add_option(p, "--target-rate", type=float)
     p.add_argument("--config")
     p.set_defaults(func=_cmd_ingest)
 
@@ -644,9 +609,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--commits", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--rules")
-    p.add_argument("--refine", help="stub, none, or a refiner URL")
-    p.add_argument("--retries", type=int)
-    p.add_argument("--concurrency", type=int)
+    _add_option(p, "--refine", type=str, help="stub, none, or a refiner URL")
+    _add_option(p, "--retries", type=int)
+    _add_option(p, "--concurrency", type=int)
     p.add_argument("--config")
     p.set_defaults(func=_cmd_categorize)
 
@@ -660,7 +625,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose", help="variance shares of channel, load, code")
     p.add_argument("--rows", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--max-bins", dest="max_bins", type=int)
+    _add_option(p, "--max-bins", type=int)
     p.add_argument("--config")
     p.set_defaults(func=_cmd_decompose)
 
@@ -668,25 +633,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rows", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--metrics")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--trees", type=int)
-    p.add_argument("--depth", type=int)
-    p.add_argument("--min-samples-leaf", dest="min_samples_leaf", type=int)
-    p.add_argument("--test-fraction", dest="test_fraction", type=float)
+    _add_option(p, "--seed", type=int)
+    _add_option(p, "--trees", type=int)
+    _add_option(p, "--depth", type=int)
+    _add_option(p, "--test-fraction", type=float)
     p.add_argument("--config")
     p.set_defaults(func=_cmd_train_baseline)
 
     p = sub.add_parser("analyze", help="label tests and roll up commit verdicts")
     p.add_argument("--rows", required=True)
-    p.add_argument("--out-dir", dest="out_dir", required=True)
+    p.add_argument("--out-dir", required=True)
     p.add_argument("--model", help="baseline model file (omit to cross-fit)")
-    p.add_argument("--ratio-floor", dest="ratio_floor", type=float)
-    p.add_argument("--min-expected", dest="min_expected", type=float)
-    p.add_argument("--min-degraded", dest="min_degraded", type=int)
-    p.add_argument("--k-folds", dest="k_folds", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--trees", type=int)
-    p.add_argument("--depth", type=int)
+    _add_option(p, "--ratio-floor", type=float)
+    _add_option(p, "--min-expected", type=float)
+    _add_option(p, "--min-degraded", type=int)
+    _add_option(p, "--k-folds", type=int)
+    _add_option(p, "--seed", type=int)
+    _add_option(p, "--trees", type=int)
+    _add_option(p, "--depth", type=int)
     p.add_argument("--config")
     p.set_defaults(func=_cmd_analyze)
 
@@ -695,13 +659,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--metrics")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--estimators", type=int)
-    p.add_argument("--depth", type=int)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--min-samples-leaf", dest="min_samples_leaf", type=int)
-    p.add_argument("--smote-k", dest="smote_k", type=int)
-    p.add_argument("--test-fraction", dest="test_fraction", type=float)
+    _add_option(p, "--seed", type=int)
+    _add_option(p, "--estimators", type=int)
+    _add_option(p, "--depth", type=int)
+    _add_option(p, "--learning-rate", type=float)
+    _add_option(p, "--min-samples-leaf", type=int)
+    _add_option(p, "--smote-k", type=int)
+    _add_option(p, "--test-fraction", type=float)
     p.add_argument("--config")
     p.set_defaults(func=_cmd_train_risk)
 
@@ -709,16 +673,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--features", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--threshold", type=float)
+    _add_option(p, "--threshold", type=float)
     p.add_argument("--config")
     p.set_defaults(func=_cmd_score)
 
     p = sub.add_parser("report", help="summarize analysis output")
     p.add_argument("--labels", required=True)
-    p.add_argument("--out-dir", dest="out_dir", required=True)
-    p.add_argument("--ratio-floor", dest="ratio_floor", type=float)
-    p.add_argument("--min-expected", dest="min_expected", type=float)
-    p.add_argument("--min-degraded", dest="min_degraded", type=int)
+    p.add_argument("--out-dir", required=True)
+    _add_option(p, "--ratio-floor", type=float)
+    _add_option(p, "--min-expected", type=float)
+    _add_option(p, "--min-degraded", type=int)
+    _add_option(p, "--floors", nargs="+", type=float)
     p.add_argument("--config")
     p.set_defaults(func=_cmd_report)
 
@@ -732,6 +697,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _set_options(args)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -355,9 +355,24 @@ def _convert_unit(value: float, unit: str) -> float:
     return value
 
 
-def _collect_matches(
-    paths: Sequence[Path], rules: Sequence[ParseRule]
-) -> dict[str, list[float] | int]:
+_RADIO_RANGE_CHECKS = {
+    "dl_bler": (0.0, 1.0),
+    "ul_bler": (0.0, 1.0),
+    "cqi_mean": (0.0, 15.0),
+}
+
+
+def parse_gnb_log(
+    paths: Sequence[str | Path], rules: Sequence[ParseRule]
+) -> tuple[RadioKpm, dict[str, int], set[str]]:
+    """Extract radio KPMs and event counts from the log files of one test.
+
+    Mean-kind fields average all matched captures over every file;
+    count-kind fields count matches and report an explicit zero when
+    nothing matched.
+    """
+    if not rules:
+        raise ConfigError("parse rule set is empty")
     compiled = [(rule, rule.compiled()) for rule in rules]
     collected: dict[str, list[float] | int] = {
         rule.field_name: ([] if rule.kind == "mean" else 0) for rule in rules
@@ -374,26 +389,14 @@ def _collect_matches(
                     values.append(_convert_unit(float(match.group(1)), rule.unit))
             else:
                 collected[rule.field_name] += sum(1 for _ in rx.finditer(text))  # type: ignore[operator]
-    return collected
 
-
-_RADIO_RANGE_CHECKS = {
-    "dl_bler": (0.0, 1.0),
-    "ul_bler": (0.0, 1.0),
-    "cqi_mean": (0.0, 15.0),
-}
-
-
-def _aggregate_log_matches(
-    collected: dict[str, list[float] | int], rules: Sequence[ParseRule]
-) -> tuple[RadioKpm, dict[str, int], set[str]]:
     radio_values: dict[str, float] = {}
     events: dict[str, int] = {}
     missing: set[str] = set()
     for rule in rules:
         raw = collected[rule.field_name]
         if rule.kind == "mean":
-            values: list[float] = raw  # type: ignore[assignment]
+            values = raw  # type: ignore[assignment]
             if not values:
                 missing.add(rule.field_name)
                 continue
@@ -411,20 +414,6 @@ def _aggregate_log_matches(
             events[rule.field_name] = int(value)
     radio = RadioKpm(**{name: radio_values.get(name) for name in RADIO_FIELDS})
     return radio, events, missing
-
-
-def parse_gnb_log(
-    path: str | Path, rules: Sequence[ParseRule]
-) -> tuple[RadioKpm, dict[str, int], set[str]]:
-    """Extract radio KPMs and event counts from one log file.
-
-    Mean-kind fields average all matched captures; count-kind fields count
-    matches and report an explicit zero when nothing matched.
-    """
-    if not rules:
-        raise ConfigError("parse rule set is empty")
-    collected = _collect_matches([Path(path)], rules)
-    return _aggregate_log_matches(collected, rules)
 
 
 # ---------------------------------------------------------------------------
@@ -479,8 +468,7 @@ def build_test_record(
     radio_ok = False
     if entry.log_paths:
         try:
-            collected = _collect_matches(entry.log_paths, rules)
-            radio, events, log_missing = _aggregate_log_matches(collected, rules)
+            radio, events, log_missing = parse_gnb_log(entry.log_paths, rules)
             missing.update(log_missing)
             radio_ok = True
         except DataError as exc:

@@ -17,6 +17,8 @@ import urllib.request
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+from .errors import ConfigError
+
 logger = logging.getLogger(__name__)
 
 MAX_REFINED_LAYERS = 4
@@ -205,7 +207,7 @@ class RefinementClient:
 
     def __init__(self, transport: Callable[[str], str], retries: int = 2):
         if retries < 0:
-            raise ValueError("retries must be >= 0")
+            raise ConfigError("retries must be >= 0")
         self.transport = transport
         self.retries = retries
 

@@ -270,16 +270,17 @@ class TemporalScore:
 
 def temporal_scores(
     labels: list[DegradationLabel],
+    thresholds: Thresholds = Thresholds(),
     windows: tuple[TemporalWindow, ...] = DEFAULT_WINDOWS,
     threshold: float = 1.0,
-    ratio_floor: float = 0.9,
 ) -> list[TemporalScore]:
     """Score commits by decayed proximity of faulty tests to deployment.
 
-    A faulty test here is any test with ratio below the floor, with no
-    environment gate: this baseline has no environment model, that is
-    the point of comparing against it. Each window contributes
-    exp(-decay * dt) for every faulty test within its length.
+    A faulty test here is any test with ratio below the floor of
+    ``thresholds``, with no environment gate: this baseline has no
+    environment model, that is the point of comparing against it. Each
+    window contributes exp(-decay * dt) for every faulty test within its
+    length.
     """
     if threshold <= 0:
         raise ConfigError("temporal threshold must be positive")
@@ -294,7 +295,7 @@ def temporal_scores(
             raise DataError(
                 f"test {lab.day}/{lab.time} predates its commit deployment"
             )
-        if lab.ratio >= ratio_floor:
+        if lab.ratio >= thresholds.ratio_floor:
             continue
         for window in windows:
             if dt_s <= window.length_s:
@@ -362,24 +363,26 @@ def commit_rollup(
 def coverage_tradeoff(
     labels: list[DegradationLabel],
     floors: tuple[float, ...],
-    min_expected: float = 0.6,
+    thresholds: Thresholds = Thresholds(),
 ) -> list[tuple[float, float, int, float | None]]:
     """For each candidate floor: retained fraction, flags, retained spread.
 
     Retained means ratio at or above the floor; a flag needs the usual
-    environment gate. Shows how aggressive a floor can get before it
-    starts eating the normal population.
+    environment gate, the minimum expected efficiency of ``thresholds``.
+    Shows how aggressive a floor can get before it starts eating the
+    normal population.
     """
     if not labels:
         raise DataError("no labels for the tradeoff table")
     ratios = np.array([l.ratio for l in labels], dtype=float)
     expected = np.array([l.expected_efficiency for l in labels], dtype=float)
+    gated = expected >= thresholds.min_expected_efficiency
     out = []
     for floor in floors:
         if not (0.0 < floor <= 1.0):
             raise ConfigError(f"floor {floor} out of range")
         retained = ratios >= floor
-        flagged = int(np.sum(~retained & (expected >= min_expected)))
+        flagged = int(np.sum(~retained & gated))
         spread = (
             float(ratios[retained].std(ddof=1)) if int(retained.sum()) > 1 else None
         )

@@ -72,6 +72,8 @@ def smote_oversample(
         )
     if n_new < 0:
         raise DataError("cannot synthesize a negative number of rows")
+    if seed < 0:
+        raise ConfigError("seed must be >= 0")
     if n_new == 0:
         return np.empty((0, x_minority.shape[1]), dtype=float)
 

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ranwatch.cli import EXIT_CONFIG, EXIT_DATA, EXIT_DEGRADED, EXIT_OK, build_parser, main
 from ranwatch.store import read_records
@@ -482,13 +484,19 @@ def _inputs(pipeline) -> dict[str, Path]:
     }
 
 
-def _stage_reading(pipeline, stage: str, kind: str, path: Path, tmp_path: Path) -> list[str]:
-    """The argv of ``stage`` with its ``kind`` input file replaced by ``path``."""
-    inputs = {k: str(v) for k, v in _inputs(pipeline).items()}
-    inputs[kind] = str(path)
-    commits = str(pipeline["paths"]["corpus"] / "commits.jsonl")
+def _stage_argv(pipeline, stage: str, tmp_path: Path, **replaced: Path) -> list[str]:
+    """The argv of ``stage`` on the pipeline's files, with the input file of
+    each record kind in ``replaced`` swapped for the path given."""
+    inputs = {k: str(v) for k, v in {**_inputs(pipeline), **replaced}.items()}
+    corpus = pipeline["paths"]["corpus"]
+    commits = str(corpus / "commits.jsonl")
     out = str(tmp_path / "out")
     return {
+        "ingest": ["ingest", "--dataset", str(corpus / "dataset"), "--commits", commits,
+                   "--out", out],
+        "categorize": ["categorize", "--commits", commits, "--out", out],
+        "decompose": ["decompose", "--rows", inputs["analysis_row"], "--out", out],
+        "train-baseline": ["train-baseline", "--rows", inputs["analysis_row"], "--out", out],
         "analyze": ["analyze", "--rows", inputs["analysis_row"], "--out-dir", out],
         "report": ["report", "--labels", inputs["label"], "--out-dir", out],
         "train-risk": ["train-risk", "--rows", inputs["analysis_row"],
@@ -521,7 +529,7 @@ def test_record_missing_a_field_exits_1(pipeline, tmp_path, capsys, kind, field,
     del holder[name]
     path = tmp_path / "in.jsonl"
     path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
-    assert main(_stage_reading(pipeline, stage, kind, path, tmp_path)) == EXIT_DATA
+    assert main(_stage_argv(pipeline, stage, tmp_path, **{kind: path})) == EXIT_DATA
     assert "data error:" in capsys.readouterr().err
 
 
@@ -533,7 +541,7 @@ def test_record_missing_a_field_exits_1(pipeline, tmp_path, capsys, kind, field,
 def test_record_that_is_not_an_object_exits_1(pipeline, tmp_path, capsys, kind, stage):
     path = tmp_path / "in.jsonl"
     path.write_text("[1]\n", encoding="utf-8")
-    assert main(_stage_reading(pipeline, stage, kind, path, tmp_path)) == EXIT_DATA
+    assert main(_stage_argv(pipeline, stage, tmp_path, **{kind: path})) == EXIT_DATA
     assert "not a JSON object" in capsys.readouterr().err
 
 
@@ -544,3 +552,111 @@ def test_hyperparameter_of_the_wrong_type_exits_2(pipeline, tmp_path, capsys):
                  "--out", str(tmp_path / "m.json"), "--config", str(config)])
     assert code == EXIT_CONFIG
     assert "config error: trees" in capsys.readouterr().err
+
+
+def _run_with_config(pipeline, tmp_path, stage: str, config: dict, flags=()) -> int:
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    return main(_stage_argv(pipeline, stage, tmp_path) + list(flags) + ["--config", str(path)])
+
+
+# (stage, config): the first key holds a value its flag would refuse; any
+# other key makes the stage read that value, or keeps the run cheap
+_BAD_CONFIGS = [
+    ("ingest", {"target_rate": "x"}),
+    ("ingest", {"target_rate": True}),
+    ("categorize", {"refine": 5}),
+    ("categorize", {"concurrency": "x"}),
+    ("categorize", {"retries": "x"}),
+    ("categorize", {"concurrency": 1.7}),
+    ("categorize", {"retries": -1, "refine": "stub"}),
+    ("report", {"floors": 0.9}),
+    ("report", {"floors": ["a"]}),
+    ("report", {"floors": []}),
+    ("decompose", {"max_bins": "x"}),
+    ("decompose", {"max_bins": 2.9}),
+    ("score", {"threshold": "x"}),
+    ("train-baseline", {"trees": 2.7}),
+    ("train-baseline", {"seed": 1.9, "trees": 2}),
+    ("train-baseline", {"seed": -1, "trees": 2}),
+    ("train-risk", {"seed": -1, "estimators": 3}),
+]
+
+
+@pytest.mark.parametrize(
+    "stage,config", _BAD_CONFIGS,
+    ids=[f"{stage}-{json.dumps(config)}" for stage, config in _BAD_CONFIGS],
+)
+def test_config_value_its_flag_would_refuse_exits_2(pipeline, tmp_path, capsys, stage, config):
+    assert _run_with_config(pipeline, tmp_path, stage, config) == EXIT_CONFIG
+    assert f"config error: {next(iter(config))}" in capsys.readouterr().err
+
+
+def test_report_floors_flag_beats_the_config_file(pipeline, tmp_path, capsys):
+    assert _run_with_config(pipeline, tmp_path, "report", {"floors": [0.8]}) == EXIT_OK
+    _, rows = _read_tsv(tmp_path / "out" / "floor_tradeoff.tsv")
+    assert [row[0] for row in rows] == ["0.8"]
+    flags = ["--floors", "0.7", "0.9"]
+    assert _run_with_config(pipeline, tmp_path, "report", {"floors": [0.8]}, flags) == EXIT_OK
+    _, rows = _read_tsv(tmp_path / "out" / "floor_tradeoff.tsv")
+    assert [row[0] for row in rows] == ["0.7", "0.9"]
+    capsys.readouterr()
+
+
+# every key a config file may set, per stage that reads it
+_STAGE_OPTIONS = {
+    "ingest": ("target_rate",),
+    "categorize": ("refine", "retries", "concurrency"),
+    "decompose": ("max_bins",),
+    "train-baseline": ("seed", "trees", "depth", "test_fraction"),
+    "analyze": ("ratio_floor", "min_expected", "min_degraded", "k_folds", "seed", "trees",
+                "depth"),
+    "train-risk": ("seed", "estimators", "depth", "learning_rate", "min_samples_leaf",
+                   "smote_k", "test_fraction"),
+    "score": ("threshold",),
+    "report": ("ratio_floor", "min_expected", "min_degraded", "floors"),
+}
+
+
+def test_each_config_key_is_a_flag_of_the_stages_that_read_it(pipeline, tmp_path):
+    for stage, keys in _STAGE_OPTIONS.items():
+        args = build_parser().parse_args(_stage_argv(pipeline, stage, tmp_path))
+        assert tuple(action.dest for action in args.options) == keys, stage
+    assert len({key for keys in _STAGE_OPTIONS.values() for key in keys}) == 19
+
+
+# Strings hold no digit, so none reads as a big count, and no "://", so none
+# names a refiner to dial; integers stay in [-3, 3] for the same reason.
+_TEXT = st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=6).filter(
+    lambda text: "://" not in text
+)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.integers(-3, 3).map(str)
+    | st.floats(allow_nan=False, allow_infinity=False) | _TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_TEXT, inner, max_size=2),
+    max_leaves=4,
+)
+# flags that keep a stage's run short, unless the key drawn is theirs
+_CHEAP_FLAGS = {
+    "categorize": {"refine": "stub"},
+    "train-baseline": {"trees": "2"},
+    "analyze": {"trees": "2"},
+    "train-risk": {"estimators": "3"},
+}
+
+
+@pytest.mark.parametrize(
+    "stage,key", [(stage, key) for stage, keys in _STAGE_OPTIONS.items() for key in keys]
+)
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(value=_JSON_VALUES)
+def test_any_config_value_ends_in_an_exit_code(pipeline, tmp_path, stage, key, value):
+    flags = [
+        arg
+        for name, flag_value in _CHEAP_FLAGS.get(stage, {}).items()
+        if name != key
+        for arg in (f"--{name.replace('_', '-')}", flag_value)
+    ]
+    code = _run_with_config(pipeline, tmp_path, stage, {key: value}, flags)
+    assert code in (EXIT_OK, EXIT_DATA, EXIT_CONFIG, EXIT_DEGRADED)

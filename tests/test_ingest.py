@@ -167,7 +167,7 @@ GNB_LOG = """\
 def test_parse_gnb_log_exact(tmp_path):
     path = tmp_path / "gnb.log"
     path.write_text(GNB_LOG, encoding="utf-8")
-    radio, events, missing = parse_gnb_log(path, default_log_rules())
+    radio, events, missing = parse_gnb_log([path], default_log_rules())
     assert radio.rsrp == pytest.approx(-81.0)
     assert radio.sinr == pytest.approx(20.0)
     assert radio.dl_bler == pytest.approx(0.2)
@@ -189,7 +189,7 @@ def test_parse_gnb_log_exact(tmp_path):
 def test_parse_gnb_log_no_matches_marks_means_missing(tmp_path):
     path = tmp_path / "gnb.log"
     path.write_text("[SYS] nothing interesting\n", encoding="utf-8")
-    radio, events, missing = parse_gnb_log(path, default_log_rules())
+    radio, events, missing = parse_gnb_log([path], default_log_rules())
     assert radio.rsrp is None
     assert "rsrp" in missing and "sinr" in missing
     # count fields report explicit zeros, never missing
@@ -201,14 +201,14 @@ def test_parse_gnb_log_range_check(tmp_path):
     path = tmp_path / "gnb.log"
     path.write_text("[MAC] DL_BLER 7.5\n", encoding="utf-8")
     with pytest.raises(DataError):
-        parse_gnb_log(path, default_log_rules())
+        parse_gnb_log([path], default_log_rules())
 
 
 def test_parse_gnb_log_needs_rules(tmp_path):
     path = tmp_path / "gnb.log"
     path.write_text("x\n", encoding="utf-8")
     with pytest.raises(ConfigError):
-        parse_gnb_log(path, [])
+        parse_gnb_log([path], [])
 
 
 def test_load_log_rules_rejects_junk(tmp_path):
