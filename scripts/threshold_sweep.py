@@ -2,11 +2,12 @@
 """Sweep the ratio floor and report commit-level precision and recall.
 
 Uses a synthetic corpus so ground truth is available. The corpus runs once
-through ranwatch's own stages (synth, ingest, categorize, assemble, and a
-cross-fitted analyze); every floor in the sweep then re-gates the same
-labels, rolls commits up, and compares the degraded verdicts against the
-injected commits. A too-tight floor flags measurement noise; a too-loose
-one misses shallow regressions. The sweep shows the usable band.
+through ranwatch's own stages (synth, ingest, categorize, assemble, and
+analyze with out-of-bag expectations, no ``--model``); every floor in the
+sweep then re-gates the same labels, rolls commits up, and compares the
+degraded verdicts against the injected commits. A too-tight floor flags
+measurement noise; a too-loose one misses shallow regressions. The sweep
+shows the usable band.
 """
 
 from __future__ import annotations
@@ -31,10 +32,11 @@ def stage(argv: list[str], expect: tuple[int, ...] = (0,)) -> None:
         sys.exit(f"ranwatch {argv[0]} failed with exit code {code}")
 
 
-def cross_fit_labels(
+def history_labels(
     workdir: Path, scenario: str | None, seed: int
 ) -> list[residual.DegradationLabel]:
-    """Labels of a synthetic corpus at the default thresholds."""
+    """Labels of a synthetic corpus at the default thresholds, each test's
+    expectation coming from the trees that never saw its commit."""
     corpus = workdir / "corpus"
     commits = str(corpus / "commits.jsonl")
     records, features, rows = (
@@ -67,7 +69,7 @@ def main() -> None:
     args = parser.parse_args()
 
     with tempfile.TemporaryDirectory() as tmp:
-        labels = cross_fit_labels(Path(tmp), args.scenario, args.seed)
+        labels = history_labels(Path(tmp), args.scenario, args.seed)
         truth = read_records(Path(tmp) / "corpus" / "truth_commits.jsonl", kind="truth_commit")
     injected = {r["hash"] for r in truth if r["injected"]}
 

@@ -5,11 +5,13 @@ radio conditions and offered load alone. Commit features are excluded on
 purpose: the model answers "what should this environment deliver", and
 deviations from it are what the residual stage attributes to code.
 
-Rows are assumed chronologically sorted. The held-out split is
-forward-only: the model trains on the earliest rows and is scored on the
-latest. Cross-fit folds are contiguous blocks in that order, but each
-block is predicted by a model trained on the blocks on both sides of it,
-so it does see the future; it never sees the rows it predicts.
+Rows are assumed chronologically sorted. ``train_baseline`` bootstraps
+rows, and its held-out split is forward-only: the model trains on the
+earliest rows and is scored on the latest. ``out_of_bag_predictions``
+bootstraps whole commits instead and gives each row the mean of the trees
+whose sample left its commit out, so no row's expectation comes from a
+tree that saw any test of its commit. Those trees did see tests from both
+before and after it.
 """
 
 from __future__ import annotations
@@ -17,15 +19,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import ClassVar
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .trees import Forest, Vectorizer, grow_tree, load_ensemble
+from .trees import Forest, Tree, Vectorizer, grow_tree, load_ensemble
 
 MIN_TRAINING_ROWS = 50
-MIN_FOLD_ROWS = 10
 
 
 @dataclass(frozen=True)
@@ -88,13 +89,16 @@ class BaselineModel:
     meta: dict = field(default_factory=dict)
 
 
-def train_baseline(
+def _grow_bagged(
     matrix: FeatureMatrix,
     y: np.ndarray,
     params: BaselineParams,
     seed: int,
-) -> BaselineModel:
-    y = np.asarray(y, dtype=float)
+    draw: Callable[[np.random.Generator], np.ndarray],
+) -> list[tuple[np.ndarray, Tree]]:
+    """``params.n_trees`` (rows, tree) pairs. Tree ``t`` grows on the rows
+    ``draw(rng)`` picks, with ``rng = np.random.default_rng((seed, t))``, and
+    then draws its split candidates from that same ``rng``."""
     n, d = matrix.values.shape
     if y.shape != (n,):
         raise DataError("target length does not match feature matrix")
@@ -107,28 +111,47 @@ def train_baseline(
     if seed < 0:
         raise ConfigError("seed must be >= 0")
     k = params.candidate_features(d)
-    trees = []
+    bagged = []
     for t in range(params.n_trees):
         rng = np.random.default_rng((seed, t))
-        rows = rng.integers(0, n, size=n)
-        trees.append(
-            grow_tree(
-                matrix.values[rows],
-                y[rows],
-                max_depth=params.max_depth,
-                min_samples_leaf=params.min_samples_leaf,
-                n_candidate_features=k if k < d else None,
-                rng=rng,
-            )
+        rows = draw(rng)
+        tree = grow_tree(
+            matrix.values[rows],
+            y[rows],
+            max_depth=params.max_depth,
+            min_samples_leaf=params.min_samples_leaf,
+            n_candidate_features=k if k < d else None,
+            rng=rng,
         )
+        bagged.append((rows, tree))
+    return bagged
+
+
+def _tree_order_sum(leaves: np.ndarray) -> np.ndarray:
+    """Each row's sum of its leaf values in tree order; another order rounds differently."""
+    acc = np.zeros(leaves.shape[0], dtype=float)
+    for j in range(leaves.shape[1]):
+        acc += leaves[:, j]
+    return acc
+
+
+def train_baseline(
+    matrix: FeatureMatrix,
+    y: np.ndarray,
+    params: BaselineParams,
+    seed: int,
+) -> BaselineModel:
+    y = np.asarray(y, dtype=float)
+    n, d = matrix.values.shape
+    bagged = _grow_bagged(matrix, y, params, seed, lambda rng: rng.integers(0, n, size=n))
     return BaselineModel(
         vectorizer=matrix.vectorizer,
         params=params,
         seed=seed,
-        trees=Forest.pack(trees),
+        trees=Forest.pack([tree for _, tree in bagged]),
         target_floor=float(np.min(y)),
         target_ceiling=float(np.max(y)),
-        meta={"n_rows": n, "n_columns": d, "candidate_features": k},
+        meta={"n_rows": n, "n_columns": d, "candidate_features": params.candidate_features(d)},
     )
 
 
@@ -142,11 +165,7 @@ def predict_matrix(model: BaselineModel, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != len(model.vectorizer.columns):
         raise DataError("prediction input has wrong number of columns")
-    leaves = model.trees.leaf_values(X)
-    acc = np.zeros(X.shape[0], dtype=float)
-    for j in range(leaves.shape[1]):  # in tree order; another order rounds differently
-        acc += leaves[:, j]
-    return np.maximum(acc / len(model.trees), 0.0)
+    return np.maximum(_tree_order_sum(model.trees.leaf_values(X)) / len(model.trees), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -184,37 +203,46 @@ def chronological_split(n: int, test_fraction: float = 0.2) -> tuple[np.ndarray,
     return np.arange(0, cut), np.arange(cut, n)
 
 
-def cross_fit_predictions(
+def out_of_bag_predictions(
     matrix: FeatureMatrix,
     y: np.ndarray,
+    groups: Sequence[str],
     params: BaselineParams,
     seed: int,
-    k_folds: int = 5,
-) -> np.ndarray:
-    """Out-of-fold prediction for every row.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's expectation from the trees that never saw its commit.
 
-    Folds are contiguous chronological blocks; each block is predicted by
-    a model trained on all the other blocks, so no row's expected value
-    comes from a model that saw that row.
+    ``groups`` names each row's commit. Commits are numbered in the order
+    they first appear; each tree grows on the rows of that many commits,
+    drawn with replacement. Returns each row's mean leaf value over the
+    trees whose draw left its commit out, floored at zero as
+    ``predict_matrix`` does, and the number of those trees.
     """
     y = np.asarray(y, dtype=float)
-    n = matrix.values.shape[0]
-    if k_folds < 2:
-        raise ConfigError("cross fitting needs at least 2 folds")
-    bounds = [round(i * n / k_folds) for i in range(k_folds + 1)]
-    sizes = [bounds[i + 1] - bounds[i] for i in range(k_folds)]
-    if min(sizes) < MIN_FOLD_ROWS:
-        raise DataError(
-            f"fold of {min(sizes)} rows is below the minimum of {MIN_FOLD_ROWS}"
-        )
-    out = np.empty(n, dtype=float)
-    for i in range(k_folds):
-        lo, hi = bounds[i], bounds[i + 1]
-        train_idx = np.concatenate([np.arange(0, lo), np.arange(hi, n)])
-        train_matrix = FeatureMatrix(matrix.vectorizer, matrix.values[train_idx])
-        model = train_baseline(train_matrix, y[train_idx], params, seed)
-        out[lo:hi] = predict_matrix(model, matrix.values[lo:hi])
-    return out
+    numbers: dict[str, int] = {}
+    codes = np.array([numbers.setdefault(g, len(numbers)) for g in groups], dtype=np.int64)
+    if codes.shape != y.shape:
+        raise DataError("commit list length does not match the target")
+    n_commits = len(numbers)
+    if n_commits < 2:
+        raise DataError(f"out-of-bag expectations need at least 2 commits, got {n_commits}")
+
+    def draw(rng: np.random.Generator) -> np.ndarray:  # each drawn commit's rows, once a draw
+        drawn = np.bincount(rng.integers(0, n_commits, size=n_commits), minlength=n_commits)
+        return np.repeat(np.arange(codes.size), drawn[codes])
+
+    bagged = _grow_bagged(matrix, y, params, seed, draw)
+    in_bag = np.zeros((n_commits, len(bagged)), dtype=bool)
+    for j, (rows, _) in enumerate(bagged):
+        in_bag[codes[rows], j] = True
+    oob = ~in_bag[codes]
+    n_oob = oob.sum(axis=1)
+    if n_oob.min() == 0:
+        raise ConfigError(f"trees: {params.n_trees} trees leave {int(np.sum(n_oob == 0))} "
+                          "rows with no out-of-bag tree; use more trees")
+    leaves = Forest.pack([tree for _, tree in bagged]).leaf_values(matrix.values)
+    # a tree that saw the row's commit adds 0.0, which leaves the sum's bits as they were
+    return np.maximum(_tree_order_sum(np.where(oob, leaves, 0.0)) / n_oob, 0.0), n_oob
 
 
 # ---------------------------------------------------------------------------

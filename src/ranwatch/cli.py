@@ -16,6 +16,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -90,7 +91,7 @@ def _load_config(path: str | None) -> dict:
 # Defaults of the options that feed no parameter dataclass. Any other option
 # defaults to None: its dataclass default, or for target_rate each CSV name's rate.
 _DEFAULTS = {
-    "seed": 0, "k_folds": 5, "test_fraction": 0.2, "retries": 2, "concurrency": 4,
+    "seed": 0, "test_fraction": 0.2, "retries": 2, "concurrency": 4,
     "refine": "none", "max_bins": 5, "threshold": 0.5, "min_degraded": 2,
     "floors": (0.8, 0.85, 0.9, 0.95, 0.98),
 }
@@ -177,6 +178,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
+    if args.target_rate is not None and not 0.0 < args.target_rate < math.inf:
+        raise ConfigError(f"target_rate: must be finite and positive, got {args.target_rate}")
     rules = (
         ingest_mod.load_log_rules(args.log_rules)
         if args.log_rules
@@ -398,12 +401,17 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         X = model.vectorizer.transform([r.env for r in rows])
         expected = baseline_mod.predict_matrix(model, X)
     else:
-        matrix = _env_matrix(rows)
         y = np.array([r.efficiency for r in rows], dtype=float)
         params = _params(baseline_mod.BaselineParams, args, _BASELINE_OPTIONS)
-        expected = baseline_mod.cross_fit_predictions(
-            matrix, y, params, args.seed, k_folds=args.k_folds
+        expected, n_oob = baseline_mod.out_of_bag_predictions(
+            _env_matrix(rows), y, [r.commit_hash for r in rows], params, args.seed
         )
+        quality = baseline_mod.regression_metrics(y, expected)
+        _write_records_tsv(Path(args.out_dir) / "baseline_quality.tsv",
+                           baseline_mod.RegressionMetrics, [("efficiency", quality)], key="unit")
+        print(f"out-of-bag efficiency: r2={quality.r2:.4f} mae={quality.mae:.4g} "
+              f"rmse={quality.rmse:.4g} n={quality.n}, trees per row: "
+              f"min {n_oob.min()} median {np.median(n_oob):g}")
 
     rows = [
         dataclasses.replace(row, expected_efficiency=float(e))
@@ -643,11 +651,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="label tests and roll up commit verdicts")
     p.add_argument("--rows", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--model", help="baseline model file (omit to cross-fit)")
+    p.add_argument("--model", help="baseline model file (omit for out-of-bag expectations)")
     _add_option(p, "--ratio-floor", type=float)
     _add_option(p, "--min-expected", type=float)
     _add_option(p, "--min-degraded", type=int)
-    _add_option(p, "--k-folds", type=int)
     _add_option(p, "--seed", type=int)
     _add_option(p, "--trees", type=int)
     _add_option(p, "--depth", type=int)

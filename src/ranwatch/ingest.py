@@ -19,7 +19,7 @@ import csv
 import datetime as dt
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -31,26 +31,6 @@ logger = logging.getLogger(__name__)
 _DAY_RE = re.compile(r"^\d{8}$")
 _TIME_RE = re.compile(r"^\d{6}$")
 _RATE_RE = re.compile(r"(\d+(?:\.\d+)?)\s*mbps", re.IGNORECASE)
-
-TRAFFIC_FIELDS = (
-    "target_rate",
-    "measured_throughput",
-    "packet_loss",
-    "jitter",
-    "total_bytes",
-    "total_packets",
-    "throughput_efficiency",
-)
-
-RADIO_FIELDS = (
-    "rsrp",
-    "sinr",
-    "dl_bler",
-    "ul_bler",
-    "harq_retx_round1",
-    "harq_retx_total",
-    "cqi_mean",
-)
 
 _HEX_RE = re.compile(r"^[0-9a-fA-F]+$")
 
@@ -111,6 +91,11 @@ class RadioKpm:
     cqi_mean: float | None = None  # [0, 15]
 
 
+# record keys of each measurement group, one per field of its dataclass
+TRAFFIC_FIELDS = tuple(f.name for f in fields(TrafficKpi))
+RADIO_FIELDS = tuple(f.name for f in fields(RadioKpm))
+
+
 @dataclass(frozen=True)
 class ParseRule:
     field_name: str
@@ -140,23 +125,16 @@ class TestRecord:
     missing_fields: frozenset[str] = field(default_factory=frozenset)
 
     def encode(self) -> dict:
-        traffic = {
-            name: getattr(self.traffic, name)
-            for name in TRAFFIC_FIELDS
-            if getattr(self.traffic, name) is not None
-        }
-        radio = {
-            name: getattr(self.radio, name)
-            for name in RADIO_FIELDS
-            if getattr(self.radio, name) is not None
-        }
+        def measured(kpis, names: tuple[str, ...]) -> dict:
+            return {name: v for name in names if (v := getattr(kpis, name)) is not None}
+
         return {
             "kind": "test_record",
             "day": self.test_id.day.isoformat(),
             "time": self.test_id.time_of_day.isoformat(),
             "commit_hash": self.commit_hash,
-            "traffic": traffic,
-            "radio": radio,
+            "traffic": measured(self.traffic, TRAFFIC_FIELDS),
+            "radio": measured(self.radio, RADIO_FIELDS),
             "events": dict(sorted(self.events.items())),
             "missing_fields": sorted(self.missing_fields),
         }

@@ -16,6 +16,7 @@ a commit degraded.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -65,20 +66,7 @@ class DegradationLabel:
     attributed_layers: tuple[str, ...]
 
     def encode(self) -> dict:
-        return {
-            "kind": "label",
-            "day": self.day,
-            "time": self.time,
-            "commit_hash": self.commit_hash,
-            "test_epoch": self.test_epoch,
-            "deploy_epoch": self.deploy_epoch,
-            "ratio": self.ratio,
-            "expected_efficiency": self.expected_efficiency,
-            "measured_efficiency": self.measured_efficiency,
-            "degraded": self.degraded,
-            "gating": self.gating,
-            "attributed_layers": list(self.attributed_layers),
-        }
+        return {"kind": "label", **dataclasses.asdict(self)}
 
     @classmethod
     def decode(cls, record: dict) -> "DegradationLabel":
@@ -284,12 +272,9 @@ def temporal_scores(
     """
     if threshold <= 0:
         raise ConfigError("temporal threshold must be positive")
-    order: list[str] = []
-    by_hash: dict[str, float] = {}
+    by_hash: dict[str, float] = {}  # in first-test order
     for lab in labels:
-        if lab.commit_hash not in by_hash:
-            by_hash[lab.commit_hash] = 0.0
-            order.append(lab.commit_hash)
+        by_hash.setdefault(lab.commit_hash, 0.0)
         dt_s = lab.test_epoch - lab.deploy_epoch
         if dt_s < 0:
             raise DataError(
@@ -301,8 +286,8 @@ def temporal_scores(
             if dt_s <= window.length_s:
                 by_hash[lab.commit_hash] += math.exp(-window.decay * dt_s)
     return [
-        TemporalScore(commit_hash=h, score=by_hash[h], flagged=by_hash[h] >= threshold)
-        for h in order
+        TemporalScore(commit_hash=h, score=score, flagged=score >= threshold)
+        for h, score in by_hash.items()
     ]
 
 
@@ -331,16 +316,11 @@ def commit_rollup(
     """
     if min_degraded < 1:
         raise ConfigError("min_degraded must be >= 1")
-    order: list[str] = []
     grouped: dict[str, list[DegradationLabel]] = {}
     for lab in labels:
-        if lab.commit_hash not in grouped:
-            grouped[lab.commit_hash] = []
-            order.append(lab.commit_hash)
-        grouped[lab.commit_hash].append(lab)
+        grouped.setdefault(lab.commit_hash, []).append(lab)
     out = []
-    for h in order:
-        group = grouped[h]
+    for h, group in grouped.items():
         ratios = np.array([l.ratio for l in group], dtype=float)
         n_degraded = sum(1 for l in group if l.degraded)
         out.append(

@@ -36,7 +36,10 @@ def naive_epoch(stamp: dt.datetime | str) -> float:
 def dumps_record(record: dict) -> str:
     payload = dict(record)
     payload.setdefault("schema_version", SCHEMA_VERSION)
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    try:
+        return json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    except ValueError as exc:  # NaN or infinity, which JSON cannot hold
+        raise DataError(f"cannot write a {payload.get('kind')} record: {exc}") from exc
 
 
 def write_records(path: str | Path, records: Iterable[dict]) -> int:

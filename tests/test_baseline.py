@@ -15,8 +15,8 @@ from ranwatch.baseline import (
     FeatureMatrix,
     build_feature_matrix,
     chronological_split,
-    cross_fit_predictions,
     load_model,
+    out_of_bag_predictions,
     predict_matrix,
     regression_metrics,
     train_baseline,
@@ -320,18 +320,76 @@ def test_chronological_split_shapes():
         chronological_split(10, 1.5)
 
 
-def test_cross_fit_covers_every_row_and_respects_fold_minimum():
-    matrix, y = _smooth_data(n=250, seed=3)
-    pred = cross_fit_predictions(matrix, y, BaselineParams(n_trees=10), seed=0)
-    assert pred.shape == (250,)
-    assert np.all(np.isfinite(pred))
-    small, y_small = _smooth_data(n=60, seed=3)
-    with pytest.raises(DataError):
-        cross_fit_predictions(small, y_small, BaselineParams(n_trees=5), seed=0, k_folds=7)
+# ---------------------------------------------------------------------------
+# out-of-bag expectations
 
 
-def test_cross_fit_deterministic():
-    matrix, y = _smooth_data(n=250, seed=4)
-    a = cross_fit_predictions(matrix, y, BaselineParams(n_trees=8), seed=5)
-    b = cross_fit_predictions(matrix, y, BaselineParams(n_trees=8), seed=5)
-    assert np.array_equal(a, b)
+def _commit_data(seed=0, noise_columns=0, n_commits=12, per_commit=8):
+    """Rows of shuffled commits: a column naming each row's commit, then
+    ``noise_columns`` random ones, and a target that is its own random
+    constant for each commit. Commit names do not sort in first-row order."""
+    rng = np.random.default_rng(seed)
+    ids = rng.permutation(np.repeat(np.arange(n_commits), per_commit))
+    X = np.column_stack([ids, rng.uniform(0, 10, size=(ids.size, noise_columns))])
+    columns = ("commit",) + tuple(f"noise{j}" for j in range(noise_columns))
+    matrix = FeatureMatrix(Vectorizer(columns, dict.fromkeys(columns, 0.0)), X)
+    own = rng.uniform(1.0, 2.0, size=n_commits)[ids]
+    return matrix, own, [f"h{n_commits - i:02d}" for i in ids]
+
+
+def test_out_of_bag_expectations_never_come_from_the_rows_own_commit():
+    matrix, own, groups = _commit_data()
+    params = BaselineParams(n_trees=40, max_depth=12)
+    in_sample = predict_matrix(train_baseline(matrix, own, params, seed=0), matrix.values)
+    assert np.allclose(in_sample, own)  # the commit column gives each commit away
+    expected, _ = out_of_bag_predictions(matrix, own, groups, params, seed=0)
+    assert not np.any(np.isclose(expected, own))
+    # a target that is 1 on one commit and 0 elsewhere: a tree that saw none
+    # of that commit's tests can only give its rows 0.0
+    for commit in sorted(set(groups))[:4]:
+        mine = np.array([g == commit for g in groups])
+        expected, _ = out_of_bag_predictions(matrix, mine.astype(float), groups, params, seed=1)
+        assert np.all(expected[mine] == 0.0) and np.any(expected[~mine] > 0.0)
+
+
+def test_out_of_bag_equals_a_per_row_loop_over_its_trees(monkeypatch):
+    matrix, own, groups = _commit_data(seed=1, noise_columns=3)
+    y = own + np.random.default_rng(2).normal(scale=0.1, size=own.size)
+    params, seed = BaselineParams(n_trees=25, max_depth=6), 3
+    grown = []
+
+    def recording_grow_tree(*args, **kwargs):
+        grown.append(trees_mod.grow_tree(*args, **kwargs))
+        return grown[-1]
+
+    monkeypatch.setattr("ranwatch.baseline.grow_tree", recording_grow_tree)
+    expected, n_oob = out_of_bag_predictions(matrix, y, groups, params, seed)
+    # commits numbered by first appearance; tree t draws them first from its own generator
+    number = {g: i for i, g in enumerate(dict.fromkeys(groups))}
+    drawn = [set(np.random.default_rng((seed, t)).integers(0, len(number), size=len(number)))
+             for t in range(params.n_trees)]
+    assert len(grown) == params.n_trees
+    for i, group in enumerate(groups):
+        acc, k = 0.0, 0
+        for tree, in_bag in zip(grown, drawn):
+            if number[group] not in in_bag:
+                acc += tree.predict(matrix.values[i:i + 1])[0]
+                k += 1
+        assert n_oob[i] == k
+        assert expected[i].tobytes() == np.float64(max(acc / k, 0.0)).tobytes()
+
+
+def test_out_of_bag_reruns_are_identical():
+    matrix, y, groups = _commit_data(seed=4, noise_columns=2)
+    params = BaselineParams(n_trees=20)
+    a, n_a = out_of_bag_predictions(matrix, y, groups, params, seed=5)
+    b, n_b = out_of_bag_predictions(matrix, y, groups, params, seed=5)
+    assert a.tobytes() == b.tobytes() and np.array_equal(n_a, n_b)
+
+
+def test_out_of_bag_degenerate_inputs():
+    matrix, y, groups = _commit_data()
+    with pytest.raises(DataError, match="2 commits"):
+        out_of_bag_predictions(matrix, y, ["one"] * len(groups), BaselineParams(), seed=0)
+    with pytest.raises(ConfigError, match="^trees: "):
+        out_of_bag_predictions(matrix, y, groups, BaselineParams(n_trees=1), seed=0)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from ranwatch.baseline import regression_metrics
 from ranwatch.cli import EXIT_CONFIG, EXIT_DATA, EXIT_DEGRADED, EXIT_OK, build_parser, main
 from ranwatch.store import read_records
 
@@ -285,11 +286,11 @@ def _degraded_commits(analysis: Path) -> tuple[int, int]:
 
 def test_consecutive_main_calls_leak_no_state(pipeline, tmp_path):
     rows = str(pipeline["paths"]["rows"])
-    # at a 0.95 floor one demo commit has a single degraded test
+    # at a 0.95 floor two demo commits have a single degraded test
     first = ["analyze", "--rows", rows, "--ratio-floor", "0.95"]
     assert main(first + ["--out-dir", str(tmp_path / "a1"), "--min-degraded", "1"]) == EXIT_DEGRADED
     assert main(first + ["--out-dir", str(tmp_path / "a2")]) == EXIT_DEGRADED
-    assert _degraded_commits(tmp_path / "a1") == (3, 12)
+    assert _degraded_commits(tmp_path / "a1") == (4, 12)
     assert _degraded_commits(tmp_path / "a2") == (2, 12)  # the default of 2 again
     assert main(["analyze", "--rows", rows, "--out-dir", str(tmp_path / "a3")]) == EXIT_DEGRADED
     name = "commit_rollup.tsv"
@@ -312,9 +313,27 @@ def test_report_counts_the_degraded_commits_analyze_found(pipeline, tmp_path, ca
         counts[label] = n_degraded, n_commits = _degraded_commits(analysis)
         summary = (report / "summary.txt").read_text(encoding="utf-8")
         assert f"commits degraded: {n_degraded} of {n_commits}" in summary
-    assert counts["1"] == counts["config"] == (3, 12)
+    assert counts["1"] == counts["config"] == (4, 12)
     assert counts["2"] == (2, 12)
     capsys.readouterr()
+
+
+def test_out_of_bag_analyze_reports_its_baseline_quality(pipeline, tmp_path, capsys):
+    rows = str(pipeline["paths"]["rows"])
+    out = tmp_path / "oob"
+    assert main(["analyze", "--rows", rows, "--out-dir", str(out)]) == EXIT_DEGRADED
+    assert "trees per row: min " in capsys.readouterr().out
+    labels = read_records(out / "labels.jsonl", kind="label")
+    m = regression_metrics(np.array([l["measured_efficiency"] for l in labels]),
+                           np.array([l["expected_efficiency"] for l in labels]))
+    assert _read_tsv(out / "baseline_quality.tsv") == (
+        ["unit", "r2", "mae", "rmse", "n"],
+        [["efficiency", f"{m.r2:.6g}", f"{m.mae:.6g}", f"{m.rmse:.6g}", "72"]],
+    )
+    model = ["--model", str(pipeline["paths"]["baseline"])]
+    assert main(["analyze", "--rows", rows, "--out-dir", str(tmp_path / "m")] + model) == EXIT_DEGRADED
+    assert "out-of-bag" not in capsys.readouterr().out
+    assert not (tmp_path / "m" / "baseline_quality.tsv").exists()
 
 
 def test_scenario_that_is_not_an_object_exits_2(tmp_path, capsys):
@@ -565,6 +584,8 @@ def _run_with_config(pipeline, tmp_path, stage: str, config: dict, flags=()) -> 
 _BAD_CONFIGS = [
     ("ingest", {"target_rate": "x"}),
     ("ingest", {"target_rate": True}),
+    ("ingest", {"target_rate": 0}),
+    ("ingest", {"target_rate": float("inf")}),
     ("categorize", {"refine": 5}),
     ("categorize", {"concurrency": "x"}),
     ("categorize", {"retries": "x"}),
@@ -592,6 +613,20 @@ def test_config_value_its_flag_would_refuse_exits_2(pipeline, tmp_path, capsys, 
     assert f"config error: {next(iter(config))}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "rate,code",
+    [("inf", EXIT_CONFIG), ("nan", EXIT_CONFIG), ("0", EXIT_CONFIG), ("-2", EXIT_CONFIG),
+     ("5e-324", EXIT_DATA)],  # a rate so small that every efficiency overflows to infinity
+)
+def test_target_rate_no_record_can_hold_is_refused(pipeline, tmp_path, capsys, rate, code):
+    argv = _stage_argv(pipeline, "ingest", tmp_path) + ["--target-rate", rate]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert ("config error: target_rate" if code == EXIT_CONFIG else "data error:") in err
+    out = tmp_path / "out"
+    assert not out.exists() or "Infinity" not in out.read_text(encoding="utf-8")
+
+
 def test_report_floors_flag_beats_the_config_file(pipeline, tmp_path, capsys):
     assert _run_with_config(pipeline, tmp_path, "report", {"floors": [0.8]}) == EXIT_OK
     _, rows = _read_tsv(tmp_path / "out" / "floor_tradeoff.tsv")
@@ -609,8 +644,7 @@ _STAGE_OPTIONS = {
     "categorize": ("refine", "retries", "concurrency"),
     "decompose": ("max_bins",),
     "train-baseline": ("seed", "trees", "depth", "test_fraction"),
-    "analyze": ("ratio_floor", "min_expected", "min_degraded", "k_folds", "seed", "trees",
-                "depth"),
+    "analyze": ("ratio_floor", "min_expected", "min_degraded", "seed", "trees", "depth"),
     "train-risk": ("seed", "estimators", "depth", "learning_rate", "min_samples_leaf",
                    "smote_k", "test_fraction"),
     "score": ("threshold",),
@@ -622,7 +656,7 @@ def test_each_config_key_is_a_flag_of_the_stages_that_read_it(pipeline, tmp_path
     for stage, keys in _STAGE_OPTIONS.items():
         args = build_parser().parse_args(_stage_argv(pipeline, stage, tmp_path))
         assert tuple(action.dest for action in args.options) == keys, stage
-    assert len({key for keys in _STAGE_OPTIONS.values() for key in keys}) == 19
+    assert len({key for keys in _STAGE_OPTIONS.values() for key in keys}) == 18
 
 
 # Strings hold no digit, so none reads as a big count, and no "://", so none
@@ -640,7 +674,7 @@ _JSON_VALUES = st.recursive(
 _CHEAP_FLAGS = {
     "categorize": {"refine": "stub"},
     "train-baseline": {"trees": "2"},
-    "analyze": {"trees": "2"},
+    "analyze": {"trees": "20"},  # enough that every demo row has an out-of-bag tree
     "train-risk": {"estimators": "3"},
 }
 
