@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from .commitcat import FEATURE_NAMES, CommitFeatures
 from .errors import DataError
 from .ingest import TestRecord
-from .store import CommitMeta, read_records
+from .store import CommitMeta, read_records, require_str
 
 # environment signals a model may condition on; commit features never
 # appear here, the decomposition depends on the two sets staying disjoint
@@ -75,9 +75,9 @@ class AnalysisRow:
             raise DataError(f"expected analysis_row record, got {record.get('kind')!r}")
         try:
             return cls(
-                day=record["day"],
-                time=record["time"],
-                commit_hash=record["commit_hash"],
+                day=require_str(record["day"], "day"),
+                time=require_str(record["time"], "time"),
+                commit_hash=require_str(record["commit_hash"], "commit_hash"),
                 test_epoch=float(record["test_epoch"]),
                 deploy_epoch=float(record["deploy_epoch"]),
                 target_rate=float(record["target_rate"]),

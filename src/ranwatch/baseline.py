@@ -33,21 +33,14 @@ MIN_TRAINING_ROWS = 50
 class BaselineParams:
     n_trees: int = 100
     max_depth: int = 8
-    min_samples_leaf: int = 1
-    feature_fraction: float | None = None  # None = sqrt(d) per split
 
     def __post_init__(self) -> None:
-        if self.n_trees < 1 or self.max_depth < 1 or self.min_samples_leaf < 1:
+        if self.n_trees < 1 or self.max_depth < 1:
             raise ConfigError("tree hyperparameters must be positive")
-        if self.feature_fraction is not None and not (0.0 < self.feature_fraction <= 1.0):
-            raise ConfigError("feature fraction must be in (0, 1]")
 
     def candidate_features(self, n_columns: int) -> int:
-        if self.feature_fraction is None:
-            k = round(math.sqrt(n_columns))
-        else:
-            k = round(self.feature_fraction * n_columns)
-        return max(1, min(n_columns, int(k)))
+        """Features each split draws from: sqrt(d), rounded, at least one."""
+        return max(1, min(n_columns, round(math.sqrt(n_columns))))
 
 
 @dataclass(frozen=True)
@@ -119,7 +112,6 @@ def _grow_bagged(
             matrix.values[rows],
             y[rows],
             max_depth=params.max_depth,
-            min_samples_leaf=params.min_samples_leaf,
             n_candidate_features=k if k < d else None,
             rng=rng,
         )

@@ -263,9 +263,7 @@ def _cmd_assemble(args: argparse.Namespace) -> int:
         for r in read_records(args.records, kind="test_record")
     ]
     feature_records = read_records(args.features, kind="commit_features")
-    features = {
-        r["hash"]: commitcat.CommitFeatures.decode(r) for r in feature_records
-    }
+    features = {f.commit_hash: f for f in map(commitcat.CommitFeatures.decode, feature_records)}
     commits = load_commits(args.commits)
     rows, skipped = assemble_mod.assemble_rows(test_records, features, commits)
     for test_id, reason in skipped:
@@ -333,14 +331,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
                 if other != group
                 for col in binned[other]
             ]
-            report = stats.variance_explained(
-                y,
-                binned[group],
-                conditioning,
-                target=target,
-                factor=group,
-                conditioning=tuple(o for o in ("channel", "load", "code") if o != group),
-            )
+            report = stats.variance_explained(y, binned[group], conditioning)
             out_rows.append(
                 (group, target, report.score, report.n_rows, report.n_groups)
             )

@@ -33,7 +33,7 @@ from .refine import (
     RefineRequest,
     RefinementClient,
 )
-from .store import CommitMeta
+from .store import CommitMeta, require_str
 
 LAYERS: tuple[str, ...] = (
     "PHY",
@@ -389,17 +389,6 @@ def categorize_commits(
 # feature vector
 
 
-@dataclass(frozen=True)
-class ComplexityParams:
-    churn_weight: float = 0.4
-    category_weight: float = 0.3
-    files_weight: float = 0.3
-    churn_cap: float = 1000.0
-    files_cap: float = 50.0
-
-
-DEFAULT_COMPLEXITY = ComplexityParams()
-
 FEATURE_NAMES: tuple[str, ...] = (
     tuple(f"cat_{c.lower()}" for c in CATEGORIES)
     + tuple(f"type_{t}" for t in CHANGE_TYPES)
@@ -437,31 +426,24 @@ class CommitFeatures:
     def decode(cls, record: dict) -> "CommitFeatures":
         try:
             return cls(
-                commit_hash=record["hash"],
+                commit_hash=require_str(record["hash"], "hash"),
                 values=tuple(float(record["features"][n]) for n in FEATURE_NAMES),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"malformed commit_features record: {exc!r}") from exc
 
 
-def complexity_score(
-    total_churn: float,
-    category_count: int,
-    files_changed: float,
-    params: ComplexityParams = DEFAULT_COMPLEXITY,
-) -> float:
+def complexity_score(total_churn: float, category_count: int, files_changed: float) -> float:
+    """Churn (saturating at 1000 lines), category spread and file count
+    (saturating at 50 files), weighted 0.4 / 0.3 / 0.3 into [0, 1]."""
     return (
-        params.churn_weight * min(1.0, total_churn / params.churn_cap)
-        + params.category_weight * (category_count / len(CATEGORIES))
-        + params.files_weight * min(1.0, files_changed / params.files_cap)
+        0.4 * min(1.0, total_churn / 1000.0)
+        + 0.3 * (category_count / len(CATEGORIES))
+        + 0.3 * min(1.0, files_changed / 50.0)
     )
 
 
-def build_feature_vector(
-    commit: CommitMeta,
-    result: CategorizationResult,
-    complexity: ComplexityParams = DEFAULT_COMPLEXITY,
-) -> CommitFeatures:
+def build_feature_vector(commit: CommitMeta, result: CategorizationResult) -> CommitFeatures:
     affected = set(result.affected)
     total_churn = float(commit.lines_added + commit.lines_deleted)
     values: list[float] = []
@@ -473,14 +455,8 @@ def build_feature_vector(
     values.append(float(commit.lines_added))
     values.append(float(commit.lines_deleted))
     values.append(total_churn)
-    values.append(
-        complexity_score(
-            total_churn,
-            result.layer_count + result.component_count,
-            float(commit.files_changed),
-            complexity,
-        )
-    )
+    n_categories = result.layer_count + result.component_count
+    values.append(complexity_score(total_churn, n_categories, float(commit.files_changed)))
     values.extend(1.0 if result.confidence == g else 0.0 for g in CONFIDENCE_GRADES)
     values.append(1.0 if result.refined_by_llm else 0.0)
     values.append(float(result.evidence_total))

@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .errors import ConfigError, DataError
-from .store import CommitMeta, naive_epoch
+from .store import CommitMeta, naive_epoch, require_str
 
 logger = logging.getLogger(__name__)
 
@@ -142,12 +142,15 @@ class TestRecord:
     @classmethod
     def decode(cls, record: dict) -> "TestRecord":
         try:
+            commit_hash = record["commit_hash"]
+            if commit_hash is not None:
+                require_str(commit_hash, "commit_hash")
             return cls(
                 test_id=TestId(
                     day=dt.date.fromisoformat(record["day"]),
                     time_of_day=dt.time.fromisoformat(record["time"]),
                 ),
-                commit_hash=record["commit_hash"],
+                commit_hash=commit_hash,
                 traffic=TrafficKpi(**{k: record["traffic"].get(k) for k in TRAFFIC_FIELDS}),
                 radio=RadioKpm(**{k: record["radio"].get(k) for k in RADIO_FIELDS}),
                 events={k: int(v) for k, v in record["events"].items()},

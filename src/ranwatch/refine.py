@@ -77,27 +77,25 @@ def _parse_listing(raw: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in raw.split(",") if part.strip())
 
 
-def parse_request(text: str) -> dict[str, str]:
-    fields: dict[str, str] = {}
+def _key_values(text: str):
+    """The stripped (key, value) pair of each ``key: value`` line, in order."""
     for line in text.splitlines():
-        if ":" not in line:
-            continue
-        key, raw = line.split(":", 1)
-        fields[key.strip()] = raw.strip()
-    return fields
+        if ":" in line:
+            key, raw = line.split(":", 1)
+            yield key.strip(), raw.strip()
+
+
+def parse_request(text: str) -> dict[str, str]:
+    return dict(_key_values(text))
+
+
+_RESPONSE_KEYS = ("layers", "components", "change_type", "rationale")
 
 
 def parse_response(text: str, request: RefineRequest) -> RefineResponse:
     """Validate a response body; raises ValueError on any contract breach."""
-    fields: dict[str, str] = {}
-    for line in text.splitlines():
-        if ":" not in line:
-            continue
-        key, raw = line.split(":", 1)
-        key = key.strip().lower()
-        if key in ("layers", "components", "change_type", "rationale"):
-            fields[key] = raw.strip()
-    for required in ("layers", "components", "change_type", "rationale"):
+    fields = {key.lower(): raw for key, raw in _key_values(text) if key.lower() in _RESPONSE_KEYS}
+    for required in _RESPONSE_KEYS:
         if required not in fields:
             raise ValueError(f"response is missing the {required} line")
 

@@ -9,9 +9,9 @@ throughput with a ratio near one; those tests are labeled as
 environment-limited, not blamed on code.
 
 Also here: a time-decay scoring baseline that credits a commit for
-faults occurring shortly after its deployment, used as a comparison
-point, and per-commit rollups that need repeated evidence before calling
-a commit degraded.
+faults occurring shortly after its deployment, over an hour, a day and a
+week, used as a comparison point, and per-commit rollups that need
+repeated evidence before calling a commit degraded.
 """
 
 from __future__ import annotations
@@ -26,9 +26,9 @@ from .assemble import AnalysisRow
 from .commitcat import LAYERS
 from .errors import ConfigError, DataError
 from .stats import cohens_d, welch_t
+from .store import require_str
 
 RATIO_EPS = 1e-6
-RATIO_REPORT_CAP = 10.0  # display clamp only, decisions use the raw ratio
 
 
 @dataclass(frozen=True)
@@ -43,10 +43,10 @@ class Thresholds:
                 raise ConfigError(f"{name} must be in (0, 1], got {v}")
 
 
-def residual_ratio(measured: float, expected: float, eps: float = RATIO_EPS) -> float:
-    if expected <= eps:
+def residual_ratio(measured: float, expected: float) -> float:
+    if expected <= RATIO_EPS:
         raise DataError(
-            f"expected efficiency {expected} is at or below the guard value {eps}"
+            f"expected efficiency {expected} is at or below the guard value {RATIO_EPS}"
         )
     return measured / expected
 
@@ -74,16 +74,16 @@ class DegradationLabel:
             raise DataError(f"expected label record, got {record.get('kind')!r}")
         try:
             return cls(
-                day=record["day"],
-                time=record["time"],
-                commit_hash=record["commit_hash"],
+                day=require_str(record["day"], "day"),
+                time=require_str(record["time"], "time"),
+                commit_hash=require_str(record["commit_hash"], "commit_hash"),
                 test_epoch=float(record["test_epoch"]),
                 deploy_epoch=float(record["deploy_epoch"]),
                 ratio=float(record["ratio"]),
                 expected_efficiency=float(record["expected_efficiency"]),
                 measured_efficiency=float(record["measured_efficiency"]),
                 degraded=bool(record["degraded"]),
-                gating=record["gating"],
+                gating=require_str(record["gating"], "gating"),
                 attributed_layers=tuple(record["attributed_layers"]),
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -230,23 +230,8 @@ def layer_impact_table(labels: list[DegradationLabel]) -> list[LayerImpact]:
 # time-decay comparison baseline
 
 
-@dataclass(frozen=True)
-class TemporalWindow:
-    length_s: float
-    decay: float  # exp(-decay * dt) halves at length_s / 2
-
-    @classmethod
-    def halving_at_midpoint(cls, length_s: float) -> "TemporalWindow":
-        if length_s <= 0:
-            raise ConfigError("window length must be positive")
-        return cls(length_s=length_s, decay=2.0 * math.log(2.0) / length_s)
-
-
-DEFAULT_WINDOWS: tuple[TemporalWindow, ...] = (
-    TemporalWindow.halving_at_midpoint(3600.0),
-    TemporalWindow.halving_at_midpoint(86400.0),
-    TemporalWindow.halving_at_midpoint(604800.0),
-)
+# window lengths in seconds: an hour, a day, a week
+TEMPORAL_WINDOWS_S = (3600.0, 86400.0, 604800.0)
 
 
 @dataclass(frozen=True)
@@ -257,21 +242,17 @@ class TemporalScore:
 
 
 def temporal_scores(
-    labels: list[DegradationLabel],
-    thresholds: Thresholds = Thresholds(),
-    windows: tuple[TemporalWindow, ...] = DEFAULT_WINDOWS,
-    threshold: float = 1.0,
+    labels: list[DegradationLabel], thresholds: Thresholds = Thresholds()
 ) -> list[TemporalScore]:
     """Score commits by decayed proximity of faulty tests to deployment.
 
     A faulty test here is any test with ratio below the floor of
     ``thresholds``, with no environment gate: this baseline has no
     environment model, that is the point of comparing against it. Each
-    window contributes exp(-decay * dt) for every faulty test within its
-    length.
+    window of ``TEMPORAL_WINDOWS_S`` contributes exp(-decay * dt) for every
+    faulty test within its length, with a decay that halves at half the
+    length. A commit scoring 1.0 or more is flagged.
     """
-    if threshold <= 0:
-        raise ConfigError("temporal threshold must be positive")
     by_hash: dict[str, float] = {}  # in first-test order
     for lab in labels:
         by_hash.setdefault(lab.commit_hash, 0.0)
@@ -282,11 +263,11 @@ def temporal_scores(
             )
         if lab.ratio >= thresholds.ratio_floor:
             continue
-        for window in windows:
-            if dt_s <= window.length_s:
-                by_hash[lab.commit_hash] += math.exp(-window.decay * dt_s)
+        for length_s in TEMPORAL_WINDOWS_S:
+            if dt_s <= length_s:
+                by_hash[lab.commit_hash] += math.exp(-(2.0 * math.log(2.0) / length_s) * dt_s)
     return [
-        TemporalScore(commit_hash=h, score=score, flagged=score >= threshold)
+        TemporalScore(commit_hash=h, score=score, flagged=score >= 1.0)
         for h, score in by_hash.items()
     ]
 
@@ -370,18 +351,11 @@ def coverage_tradeoff(
     return out
 
 
-def ratio_histogram(
-    labels: list[DegradationLabel],
-    bins: int = 40,
-    value_range: tuple[float, float] = (0.0, 2.0),
-) -> list[tuple[float, float, int]]:
-    """Histogram rows (bin_lo, bin_hi, count) with ratios capped for display."""
-    if bins < 1:
-        raise ConfigError("need at least one histogram bin")
-    ratios = np.minimum(
-        np.array([l.ratio for l in labels], dtype=float), RATIO_REPORT_CAP
-    )
-    counts, edges = np.histogram(ratios, bins=bins, range=value_range)
-    return [
-        (float(edges[i]), float(edges[i + 1]), int(counts[i])) for i in range(bins)
-    ]
+def ratio_histogram(labels: list[DegradationLabel]) -> list[tuple[float, float, int]]:
+    """Histogram rows (bin_lo, bin_hi, count): 40 bins over ratios 0 to 2.
+
+    A ratio above 2 is not counted.
+    """
+    ratios = np.array([l.ratio for l in labels], dtype=float)
+    counts, edges = np.histogram(ratios, bins=40, range=(0.0, 2.0))
+    return [(float(edges[i]), float(edges[i + 1]), int(counts[i])) for i in range(40)]

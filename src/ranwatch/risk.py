@@ -3,9 +3,10 @@
 Predicts whether a commit will degrade throughput, from commit features
 plus the environment snapshot of the tests that ran against it. Two
 pieces live here: minority oversampling by interpolation between nearest
-neighbors, and a small gradient-boosted tree classifier with balanced
-class weights. Synthetic rows are flagged so evaluation can exclude
-them; metrics computed on invented data are not metrics.
+neighbors, which balances the classes 1:1, and a small gradient-boosted
+tree classifier that weighs every row equally. Synthetic rows are flagged
+so evaluation can exclude them; metrics computed on invented data are not
+metrics.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ class RiskParams:
     learning_rate: float = 0.1
     min_samples_leaf: int = 5
     smote_k: int = 5
-    class_weight: str = "balanced"  # balanced | none
 
     def __post_init__(self) -> None:
         if self.n_estimators < 1 or self.max_depth < 1 or self.min_samples_leaf < 1:
@@ -39,8 +39,6 @@ class RiskParams:
             raise ConfigError("learning rate must be in (0, 1]")
         if self.smote_k < 1:
             raise ConfigError("smote_k must be >= 1")
-        if self.class_weight not in ("balanced", "none"):
-            raise ConfigError(f"unknown class weighting {self.class_weight!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -153,17 +151,6 @@ def _sigmoid(f: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(f, -36.0, 36.0)))
 
 
-def _class_weights(y: np.ndarray, scheme: str) -> np.ndarray:
-    if scheme == "none":
-        return np.ones(len(y), dtype=float)
-    n = len(y)
-    w = np.empty(n, dtype=float)
-    for label in (0, 1):
-        n_c = int(np.sum(y == label))
-        w[y == label] = n / (2.0 * n_c)
-    return w
-
-
 def train_risk(
     X: np.ndarray,
     y: np.ndarray,
@@ -173,10 +160,10 @@ def train_risk(
 ) -> RiskModel:
     """Boost log-odds with second-order leaf values.
 
-    Each round fits a tree to the weighted gradient and then replaces its
-    leaf outputs with sum(gradient) / sum(hessian) over the rows landing
-    in the leaf. No row or feature subsampling: given the same inputs the
-    model is bit-for-bit reproducible.
+    Each round fits a tree to the gradient and then replaces its leaf
+    outputs with sum(gradient) / sum(hessian) over the rows landing in the
+    leaf. No row or feature subsampling: given the same inputs the model
+    is bit-for-bit reproducible.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
@@ -190,16 +177,13 @@ def train_risk(
     if len(vectorizer.columns) != X.shape[1]:
         raise DataError("column names do not match feature matrix width")
 
-    w = _class_weights(y, params.class_weight)
-    pos = float(np.sum(w[y == 1]))
-    neg = float(np.sum(w[y == 0]))
-    f0 = math.log(pos / neg)
+    f0 = math.log(np.sum(y == 1) / np.sum(y == 0))
     f = np.full(len(y), f0, dtype=float)
     trees = []
     for _ in range(params.n_estimators):
         p = _sigmoid(f)
-        g = w * (y - p)
-        h = w * p * (1.0 - p)
+        g = y - p
+        h = p * (1.0 - p)
         tree = grow_tree(
             X,
             g,
@@ -287,14 +271,10 @@ def metrics_from_predictions(y_true: np.ndarray, y_pred: np.ndarray) -> Classifi
     )
 
 
-def evaluate_classifier(
-    model: RiskModel,
-    X: np.ndarray,
-    y: np.ndarray,
-    threshold: float = 0.5,
-) -> ClassifierMetrics:
+def evaluate_classifier(model: RiskModel, X: np.ndarray, y: np.ndarray) -> ClassifierMetrics:
+    """Metrics of the model's calls at a probability of 0.5."""
     proba = predict_proba(model, np.asarray(X, float))
-    return metrics_from_predictions(np.asarray(y, int), (proba >= threshold).astype(int))
+    return metrics_from_predictions(np.asarray(y, int), (proba >= 0.5).astype(int))
 
 
 def roc_auc(y_true: np.ndarray, scores: np.ndarray) -> float:

@@ -78,9 +78,6 @@ def discretize(values: Sequence[float], n_bins: int = 5, name: str = "") -> Disc
 class VarianceReport:
     """Variance share of one factor bundle for one target."""
 
-    target: str
-    factor: str
-    conditioning: tuple[str, ...]
     score: float
     n_rows: int
     n_groups: int
@@ -113,10 +110,6 @@ def variance_explained(
     y: Sequence[float],
     factor_columns: Sequence[Sequence],
     conditioning_columns: Sequence[Sequence] = (),
-    *,
-    target: str = "y",
-    factor: str = "factor",
-    conditioning: tuple[str, ...] = (),
 ) -> VarianceReport:
     """Share of Var(y) explained by the factor beyond the conditioning set.
 
@@ -146,14 +139,7 @@ def variance_explained(
         var_cond = 0.0
 
     score = (_pop_var(e_full) - var_cond) / var_y
-    return VarianceReport(
-        target=target,
-        factor=factor,
-        conditioning=tuple(conditioning),
-        score=float(score),
-        n_rows=int(y_arr.size),
-        n_groups=len(set(joint)),
-    )
+    return VarianceReport(score=float(score), n_rows=int(y_arr.size), n_groups=len(set(joint)))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import datetime as dt
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -42,15 +43,32 @@ def dumps_record(record: dict) -> str:
         raise DataError(f"cannot write a {payload.get('kind')} record: {exc}") from exc
 
 
+def require_str(value, name: str) -> str:
+    """``value`` if it is a string; if not, a TypeError that record decoders report."""
+    if not isinstance(value, str):
+        raise TypeError(f"{name} must be a string, got {value!r}")
+    return value
+
+
 def write_records(path: str | Path, records: Iterable[dict]) -> int:
-    """Write records to a fresh file, one canonical JSON object per line."""
+    """Write records to a fresh file, one canonical JSON object per line.
+
+    The lines go to a temporary file beside ``path``, which replaces it only
+    once every record is written: a failure leaves the previous file as it was.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     n = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(dumps_record(record) + "\n")
-            n += 1
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            for record in records:
+                fh.write(dumps_record(record) + "\n")
+                n += 1
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return n
 
 

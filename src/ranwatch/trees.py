@@ -196,7 +196,7 @@ def _best_split(
     features: np.ndarray,
     min_samples_leaf: int,
 ) -> tuple[int, float] | None:
-    """Weighted-SSE-optimal (feature, threshold) over candidate features."""
+    """SSE-optimal (feature, threshold) over candidate features."""
     w_node = w[rows]
     y_node = y[rows]
     total_w = w_node.sum()
@@ -245,7 +245,6 @@ def grow_tree(
     *,
     max_depth: int,
     min_samples_leaf: int = 1,
-    sample_weight: np.ndarray | None = None,
     n_candidate_features: int | None = None,
     rng: np.random.Generator | None = None,
 ) -> Tree:
@@ -257,7 +256,8 @@ def grow_tree(
     (data, hyperparameters, rng state).
     """
     n, d = X.shape
-    w = np.ones(n, dtype=float) if sample_weight is None else np.asarray(sample_weight, float)
+    # every row weighs 1; sums stay dot products with these ones, which round unlike y.sum()
+    w = np.ones(n, dtype=float)
 
     feature: list[int] = []
     threshold: list[float] = []
@@ -359,17 +359,16 @@ def _number(value) -> float:
 
 
 @functools.cache
-def _field_kinds(params_cls: type) -> dict[str, tuple[type, ...]]:
-    hints = typing.get_type_hints(params_cls)
-    return {f.name: typing.get_args(hints[f.name]) or (hints[f.name],)
-            for f in dataclasses.fields(params_cls)}
+def _field_kinds(cls: type) -> dict[str, type]:
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
 
 
-def _typed(name: str, value, kinds: tuple[type, ...]):
-    """``value`` if it is one of ``kinds``; a float field also takes an int."""
-    if float in kinds and value is not None:
+def _typed(name: str, value, kind: type):
+    """``value`` if it is a ``kind``; a float field also takes an int."""
+    if kind is float:
         return _number(value)
-    if isinstance(value, bool) or not isinstance(value, kinds):
+    if isinstance(value, bool) or not isinstance(value, kind):
         raise TypeError(f"hyperparameter {name} has the wrong type: {value!r}")
     return value
 
@@ -378,7 +377,8 @@ def load_ensemble(path: str | Path, model_cls: type):
     """Read a model file written by ``save_ensemble`` back into ``model_cls``.
 
     Any missing key, or a value of the wrong type or out of range, is a
-    ``DataError``.
+    ``DataError``. Only the fields of the parameter class are read from
+    ``hyperparameters``; other keys there, as older releases wrote, are ignored.
     """
     path = Path(path)
     if not path.is_file():
@@ -394,11 +394,9 @@ def load_ensemble(path: str | Path, model_cls: type):
     try:
         hp = record["hyperparameters"]
         # the parameter class is the one the model's ``params`` field names
-        params_cls = _field_kinds(model_cls)["params"][0]
-        params = params_cls(
-            **{name: _typed(name, hp[name], kinds)
-               for name, kinds in _field_kinds(params_cls).items()}
-        )
+        params_cls = _field_kinds(model_cls)["params"]
+        params = params_cls(**{name: _typed(name, hp[name], kind)
+                                for name, kind in _field_kinds(params_cls).items()})
         columns = tuple(record["columns"])
         if not all(isinstance(c, str) for c in columns):
             raise TypeError("column names must be strings")
@@ -407,7 +405,7 @@ def load_ensemble(path: str | Path, model_cls: type):
         return model_cls(
             vectorizer=Vectorizer(columns, imputation),
             params=params,
-            seed=_typed("seed", hp["seed"], (int,)),
+            seed=_typed("seed", hp["seed"], int),
             trees=trees,
             meta=dict(record.get("meta", {})),
             **{name: _number(record[name]) for name in _scalar_fields(model_cls)},

@@ -357,8 +357,6 @@ def test_injection_with_unknown_layers_exits_2(tmp_path, capsys, layers):
 _BASELINE_KEYS = [
     ("hyperparameters", "n_trees"),
     ("hyperparameters", "max_depth"),
-    ("hyperparameters", "min_samples_leaf"),
-    ("hyperparameters", "feature_fraction"),
     ("hyperparameters", "seed"),
     ("columns",),
     ("imputation",),
@@ -372,7 +370,6 @@ _RISK_KEYS = [
     ("hyperparameters", "learning_rate"),
     ("hyperparameters", "min_samples_leaf"),
     ("hyperparameters", "smote_k"),
-    ("hyperparameters", "class_weight"),
     ("hyperparameters", "seed"),
     ("columns",),
     ("imputation",),
@@ -392,12 +389,11 @@ def _forest(feature: list[int], left: list[int], sizes: tuple[int, ...] = (3,)) 
             "value": _b64("<f8", [0.0, 0.0, 1.0])}
 
 
-# (key path, bad value): wrong types, out-of-range values, unwalkable trees
-_BAD_VALUES = [
+# (model, key path, bad value): wrong types, out-of-range values, unwalkable trees
+_BAD_VALUES = [(model, key, value) for key, value in [
     (("hyperparameters", "max_depth"), "8"),
     (("hyperparameters", "max_depth"), 0),
     (("hyperparameters", "max_depth"), 2.5),
-    (("hyperparameters", "min_samples_leaf"), True),
     (("hyperparameters", "seed"), None),
     (("hyperparameters",), []),
     (("columns",), ["rsrp", 3]),
@@ -411,7 +407,7 @@ _BAD_VALUES = [
     (("forest", "sizes"), [1]),  # do not sum to the node count
     (("forest",), _forest(feature=[0, -1, -1], left=[1, 1, 2], sizes=(0, 3))),
     (("forest",), _forest(feature=[0, -1, -1], left=[1, 1, 2], sizes=(-1, 4))),
-]
+] for model in ("baseline", "risk")] + [("risk", ("hyperparameters", "min_samples_leaf"), True)]
 
 
 def _model_stage(pipeline, model: str, path: Path, tmp_path: Path) -> list[str]:
@@ -448,8 +444,10 @@ def test_model_file_missing_a_key_exits_1(pipeline, tmp_path, capsys, model, key
     assert "data error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("model", ["baseline", "risk"])
-@pytest.mark.parametrize("key,value", _BAD_VALUES, ids=lambda v: repr(v)[:30])
+@pytest.mark.parametrize(
+    "model,key,value", _BAD_VALUES,
+    ids=[f"{repr(key)[:30]}-{repr(value)[:30]}-{model}" for model, key, value in _BAD_VALUES],
+)
 def test_model_file_with_a_bad_value_exits_1(pipeline, tmp_path, capsys, model, key, value):
     path = _corrupt(pipeline, model, key, tmp_path, value, delete=False)
     assert main(_model_stage(pipeline, model, path, tmp_path)) == EXIT_DATA
@@ -465,6 +463,34 @@ def test_model_file_with_a_leaf_not_pointing_at_itself_exits_1(
     path = _corrupt(pipeline, model, ("forest",), tmp_path, forest, delete=False)
     assert main(_model_stage(pipeline, model, path, tmp_path)) == EXIT_DATA
     assert "data error:" in capsys.readouterr().err
+
+
+# hyperparameters older model files carry, with the only values they were written with
+_RETIRED_HYPERPARAMETERS = {
+    "baseline": {"min_samples_leaf": 1, "feature_fraction": None},
+    "risk": {"class_weight": "balanced"},
+}
+
+
+@pytest.mark.parametrize("model", ["baseline", "risk"])
+def test_model_file_with_retired_hyperparameters_gives_the_same_outputs(
+    pipeline, tmp_path, capsys, model
+):
+    record = json.loads(pipeline["paths"][model].read_text(encoding="utf-8"))
+    assert not set(_RETIRED_HYPERPARAMETERS[model]) & set(record["hyperparameters"])
+    record["hyperparameters"].update(_RETIRED_HYPERPARAMETERS[model])
+    old = tmp_path / "old_model.json"
+    old.write_text(json.dumps(record), encoding="utf-8")
+    outputs = {}
+    for name, path in (("current", pipeline["paths"][model]), ("old", old)):
+        workdir = tmp_path / name
+        workdir.mkdir()
+        code = main(_model_stage(pipeline, model, path, workdir))
+        files = sorted(f for f in workdir.rglob("*") if f.is_file())
+        outputs[name] = code, {f.relative_to(workdir): f.read_bytes() for f in files}
+    capsys.readouterr()
+    assert outputs["current"][0] in (EXIT_OK, EXIT_DEGRADED) and outputs["current"][1]
+    assert outputs["old"] == outputs["current"]
 
 
 def test_model_files_share_one_layout(pipeline, tmp_path, capsys):
@@ -627,6 +653,16 @@ def test_target_rate_no_record_can_hold_is_refused(pipeline, tmp_path, capsys, r
     assert not out.exists() or "Infinity" not in out.read_text(encoding="utf-8")
 
 
+def test_failed_stage_keeps_the_previous_output(pipeline, tmp_path, capsys):
+    out = tmp_path / "out"
+    out.write_bytes(b"previous good output\n")
+    argv = _stage_argv(pipeline, "ingest", tmp_path) + ["--target-rate", "5e-324"]
+    assert main(argv) == EXIT_DATA
+    assert "data error:" in capsys.readouterr().err
+    assert out.read_bytes() == b"previous good output\n"
+    assert [f.name for f in tmp_path.iterdir()] == ["out"]
+
+
 def test_report_floors_flag_beats_the_config_file(pipeline, tmp_path, capsys):
     assert _run_with_config(pipeline, tmp_path, "report", {"floors": [0.8]}) == EXIT_OK
     _, rows = _read_tsv(tmp_path / "out" / "floor_tradeoff.tsv")
@@ -693,4 +729,41 @@ def test_any_config_value_ends_in_an_exit_code(pipeline, tmp_path, stage, key, v
         for arg in (f"--{name.replace('_', '-')}", flag_value)
     ]
     code = _run_with_config(pipeline, tmp_path, stage, {key: value}, flags)
+    assert code in (EXIT_OK, EXIT_DATA, EXIT_CONFIG, EXIT_DEGRADED)
+
+
+def _leaf_paths(value, path=()):
+    """Key paths to every value of a record that is not a dict or a non-empty list."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _leaf_paths(item, path + (key,))
+    elif isinstance(value, list) and value:
+        for i, item in enumerate(value):
+            yield from _leaf_paths(item, path + (i,))
+    else:
+        yield path
+
+
+@pytest.mark.parametrize(
+    "kind,stage",
+    [("test_record", "assemble"), ("analysis_row", "analyze"), ("label", "train-risk"),
+     ("label", "report"), ("commit_features", "score")],
+)
+@pytest.mark.parametrize("value", [None, "x", [], {}, 1e308, -1], ids=repr)
+@settings(max_examples=10, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_mutated_input_ends_in_an_exit_code(pipeline, tmp_path, kind, stage, value, data):
+    records = read_records(_inputs(pipeline)[kind])
+    record = records[data.draw(st.integers(0, len(records) - 1), label="record")]
+    *parents, name = data.draw(st.sampled_from(list(_leaf_paths(record))), label="leaf")
+    holder = record
+    for part in parents:
+        holder = holder[part]
+    holder[name] = value
+    path = tmp_path / "in.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    flags = [arg for option, flag_value in _CHEAP_FLAGS.get(stage, {}).items()
+             for arg in (f"--{option}", flag_value)]
+    code = main(_stage_argv(pipeline, stage, tmp_path, **{kind: path}) + flags)
     assert code in (EXIT_OK, EXIT_DATA, EXIT_CONFIG, EXIT_DEGRADED)

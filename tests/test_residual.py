@@ -11,9 +11,7 @@ from hypothesis import strategies as st
 from ranwatch.assemble import AnalysisRow
 from ranwatch.errors import ConfigError, DataError
 from ranwatch.residual import (
-    DEFAULT_WINDOWS,
     DegradationLabel,
-    TemporalWindow,
     Thresholds,
     classify,
     commit_layers,
@@ -243,15 +241,21 @@ def test_temporal_ignores_healthy_tests_and_keeps_commit_order():
 def test_temporal_rejects_tests_before_deployment():
     with pytest.raises(DataError):
         temporal_scores([_label(1.0, dt_s=-5.0)])
-    with pytest.raises(ConfigError):
-        temporal_scores([_label(0.5)], threshold=0.0)
-    with pytest.raises(ConfigError):
-        TemporalWindow.halving_at_midpoint(0.0)
 
 
 def test_default_windows_halve_at_their_midpoint():
-    for window in DEFAULT_WINDOWS:
-        assert math.exp(-window.decay * window.length_s / 2.0) == pytest.approx(0.5)
+    # 1800 s is the hour window's midpoint, so it contributes exactly half;
+    # the day and week windows decay at rates that halve at 12 h and 3.5 days.
+    (score,) = temporal_scores([_label(0.5, dt_s=1800.0)])
+    d_day, d_week = (2.0 * math.log(2.0) / length for length in (86400.0, 604800.0))
+    want = 0.5 + math.exp(-d_day * 1800.0) + math.exp(-d_week * 1800.0)
+    assert score.score == pytest.approx(want, abs=1e-12)
+    # halfway through the day, the hour window has closed and the day's gives half
+    (score,) = temporal_scores([_label(0.5, dt_s=43200.0)])
+    assert score.score == pytest.approx(0.5 + 2.0 ** (-1.0 / 7.0), abs=1e-12)
+    # halfway through the week, only the week's window is open
+    (score,) = temporal_scores([_label(0.5, dt_s=302400.0)])
+    assert score.score == pytest.approx(0.5, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -298,12 +302,12 @@ def test_coverage_tradeoff_monotone_in_floor():
 
 
 def test_histogram_counts_and_display_cap():
-    labels = [_label(0.25), _label(0.75), _label(1.25, degraded=False), _label(50.0, degraded=False)]
-    rows = ratio_histogram(labels, bins=4, value_range=(0.0, 2.0))
-    assert [r[2] for r in rows] == [1, 1, 1, 0]  # the huge ratio falls off the right edge
-    wide = ratio_histogram(labels, bins=12, value_range=(0.0, 12.0))
-    # capped at 10, so the outlier lands in the bin covering 10, not 50
-    assert wide[10][2] == 1
-    assert sum(r[2] for r in wide) == 4
-    with pytest.raises(ConfigError):
-        ratio_histogram(labels, bins=0)
+    labels = [_label(r) for r in (0.0, 0.01, 0.05, 0.74, 0.75, 1.25, 2.0, 2.0001, 50.0)]
+    rows = ratio_histogram(labels)
+    assert len(rows) == 40
+    assert [(lo, hi) for lo, hi, _ in rows[:2]] == [(0.0, 0.05), (0.05, 0.1)]
+    assert rows[-1][1] == 2.0
+    counts = {i: count for i, (_, _, count) in enumerate(rows) if count}
+    # the right edge of the last bin is closed; ratios above 2 are not counted
+    assert counts == {0: 2, 1: 1, 14: 1, 15: 1, 25: 1, 39: 1}
+    assert ratio_histogram([]) == [(lo, hi, 0) for lo, hi, _ in rows]
