@@ -22,7 +22,7 @@ from pathlib import Path
 
 from ranwatch import residual
 from ranwatch.cli import EXIT_DEGRADED, main as ranwatch
-from ranwatch.store import read_records
+from ranwatch.store import load_records, read_records
 
 
 def stage(argv: list[str], expect: tuple[int, ...] = (0,)) -> None:
@@ -50,10 +50,7 @@ def history_labels(
            "--out", rows])
     stage(["analyze", "--rows", rows, "--out-dir", str(workdir / "analysis"),
            "--seed", str(seed)], expect=(0, EXIT_DEGRADED))
-    return [
-        residual.DegradationLabel.decode(r)
-        for r in read_records(workdir / "analysis" / "labels.jsonl", kind="label")
-    ]
+    return load_records(workdir / "analysis" / "labels.jsonl", residual.DegradationLabel)
 
 
 def main() -> None:

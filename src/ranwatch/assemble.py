@@ -10,11 +10,12 @@ every downstream model has to be a real measurement.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 from .commitcat import FEATURE_NAMES, CommitFeatures
 from .errors import DataError
 from .ingest import TestRecord
-from .store import CommitMeta, read_records, require_str
+from .store import CommitMeta, Record, load_records
 
 # environment signals a model may condition on; commit features never
 # appear here, the decomposition depends on the two sets staying disjoint
@@ -35,10 +36,13 @@ ENV_FEATURES: tuple[str, ...] = (
 _RADIO_ENV = ("rsrp", "sinr", "dl_bler", "ul_bler", "cqi_mean",
               "harq_retx_round1", "harq_retx_total")
 _EVENT_ENV = ("msg2_failures", "scheduler_warnings", "error_lines")
+_FEATURE_SET = frozenset(FEATURE_NAMES)
 
 
 @dataclass(frozen=True)
-class AnalysisRow:
+class AnalysisRow(Record):
+    KIND: ClassVar[str] = "analysis_row"
+
     day: str
     time: str
     commit_hash: str
@@ -49,47 +53,15 @@ class AnalysisRow:
     packet_loss: float | None
     jitter: float | None
     env: dict[str, float | None]
-    commit: dict[str, float]
+    commit: dict[str, float]  # FEATURE_NAMES exactly: train-risk merges it with env
     expected_efficiency: float | None = field(default=None)
-
-    def encode(self) -> dict:
-        return {
-            "kind": "analysis_row",
-            "day": self.day,
-            "time": self.time,
-            "commit_hash": self.commit_hash,
-            "test_epoch": self.test_epoch,
-            "deploy_epoch": self.deploy_epoch,
-            "target_rate": self.target_rate,
-            "efficiency": self.efficiency,
-            "packet_loss": self.packet_loss,
-            "jitter": self.jitter,
-            "env": {k: self.env.get(k) for k in ENV_FEATURES},
-            "commit": {k: self.commit[k] for k in FEATURE_NAMES},
-            "expected_efficiency": self.expected_efficiency,
-        }
 
     @classmethod
     def decode(cls, record: dict) -> "AnalysisRow":
-        if record.get("kind") != "analysis_row":
-            raise DataError(f"expected analysis_row record, got {record.get('kind')!r}")
-        try:
-            return cls(
-                day=require_str(record["day"], "day"),
-                time=require_str(record["time"], "time"),
-                commit_hash=require_str(record["commit_hash"], "commit_hash"),
-                test_epoch=float(record["test_epoch"]),
-                deploy_epoch=float(record["deploy_epoch"]),
-                target_rate=float(record["target_rate"]),
-                efficiency=float(record["efficiency"]),
-                packet_loss=record.get("packet_loss"),
-                jitter=record.get("jitter"),
-                env={k: record["env"].get(k) for k in ENV_FEATURES},
-                commit={k: float(record["commit"][k]) for k in FEATURE_NAMES},
-                expected_efficiency=record.get("expected_efficiency"),
-            )
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
-            raise DataError(f"malformed analysis_row record: {exc!r}") from exc
+        row = super().decode(record)
+        if row.commit.keys() != _FEATURE_SET:
+            raise ValueError(f"commit must hold the {len(FEATURE_NAMES)} commit features")
+        return row
 
 
 def env_snapshot(record: TestRecord) -> dict[str, float | None]:
@@ -157,8 +129,7 @@ def assemble_rows(
 
 def load_rows(path) -> list[AnalysisRow]:
     """Analysis rows of a file, sorted by (test epoch, commit hash)."""
-    records = read_records(path, kind="analysis_row")
-    rows = [AnalysisRow.decode(r) for r in records]
+    rows = load_records(path, AnalysisRow)
     if not rows:
         raise DataError(f"no analysis rows in {path}")
     rows.sort(key=lambda r: (r.test_epoch, r.commit_hash))

@@ -32,7 +32,7 @@ from . import risk as risk_mod
 from . import stats
 from . import synthgen
 from .errors import ConfigError, DataError, RanwatchError
-from .store import load_commits, read_records, write_records
+from .store import load_commits, load_records, write_records
 from .trees import ensemble_hash, save_ensemble
 
 EXIT_OK = 0
@@ -258,12 +258,8 @@ def _cmd_categorize(args: argparse.Namespace) -> int:
 
 
 def _cmd_assemble(args: argparse.Namespace) -> int:
-    test_records = [
-        ingest_mod.TestRecord.decode(r)
-        for r in read_records(args.records, kind="test_record")
-    ]
-    feature_records = read_records(args.features, kind="commit_features")
-    features = {f.commit_hash: f for f in map(commitcat.CommitFeatures.decode, feature_records)}
+    test_records = load_records(args.records, ingest_mod.TestRecord)
+    features = {f.commit_hash: f for f in load_records(args.features, commitcat.CommitFeatures)}
     commits = load_commits(args.commits)
     rows, skipped = assemble_mod.assemble_rows(test_records, features, commits)
     for test_id, reason in skipped:
@@ -462,10 +458,7 @@ def _risk_binary_slots() -> tuple[int, ...]:
 def _cmd_train_risk(args: argparse.Namespace) -> int:
     params = _params(risk_mod.RiskParams, args, _RISK_OPTIONS)
     rows = assemble_mod.load_rows(args.rows)
-    labels = [
-        residual_mod.DegradationLabel.decode(r)
-        for r in read_records(args.labels, kind="label")
-    ]
+    labels = load_records(args.labels, residual_mod.DegradationLabel)
     degraded_by_test = {(label.day, label.time): label.degraded for label in labels}
     y_all = []
     for row in rows:
@@ -519,10 +512,9 @@ def _cmd_train_risk(args: argparse.Namespace) -> int:
 
 def _cmd_score(args: argparse.Namespace) -> int:
     model = risk_mod.load_model(args.model)
-    feature_records = read_records(args.features, kind="commit_features")
-    if not feature_records:
+    features = load_records(args.features, commitcat.CommitFeatures)
+    if not features:
         raise DataError(f"no commit features in {args.features}")
-    features = [commitcat.CommitFeatures.decode(r) for r in feature_records]
     X = model.vectorizer.transform([f.as_dict() for f in features])
     proba = risk_mod.predict_proba(model, X).tolist()
     out_rows = [(f.commit_hash, p, p >= args.threshold) for f, p in zip(features, proba)]
@@ -535,10 +527,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     thresholds = _params(residual_mod.Thresholds, args, _THRESHOLD_OPTIONS)
-    labels = [
-        residual_mod.DegradationLabel.decode(r)
-        for r in read_records(args.labels, kind="label")
-    ]
+    labels = load_records(args.labels, residual_mod.DegradationLabel)
     if not labels:
         raise DataError(f"no labels in {args.labels}")
     out_dir = Path(args.out_dir)

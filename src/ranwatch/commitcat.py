@@ -25,15 +25,15 @@ import concurrent.futures
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import ClassVar, Mapping, Sequence
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError
 from .refine import (
     MAX_REFINED_LAYERS,
     RefineRequest,
     RefinementClient,
 )
-from .store import CommitMeta, require_str
+from .store import CommitMeta, Record, decode
 
 LAYERS: tuple[str, ...] = (
     "PHY",
@@ -402,8 +402,10 @@ assert len(FEATURE_NAMES) == 34
 
 
 @dataclass(frozen=True)
-class CommitFeatures:
+class CommitFeatures(Record):
     """Fixed 34-slot numeric encoding of a categorized commit."""
+
+    KIND: ClassVar[str] = "commit_features"
 
     commit_hash: str
     values: tuple[float, ...]
@@ -416,21 +418,13 @@ class CommitFeatures:
         return dict(zip(FEATURE_NAMES, self.values))
 
     def encode(self) -> dict:
-        return {
-            "kind": "commit_features",
-            "hash": self.commit_hash,
-            "features": self.as_dict(),
-        }
+        return {"kind": self.KIND, "hash": self.commit_hash, "features": self.as_dict()}
 
     @classmethod
     def decode(cls, record: dict) -> "CommitFeatures":
-        try:
-            return cls(
-                commit_hash=require_str(record["hash"], "hash"),
-                values=tuple(float(record["features"][n]) for n in FEATURE_NAMES),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"malformed commit_features record: {exc!r}") from exc
+        features = decode(dict[str, float], record.get("features"), "features")
+        return super().decode({"kind": record.get("kind"), "commit_hash": record.get("hash"),
+                               "values": [features[name] for name in FEATURE_NAMES]})
 
 
 def complexity_score(total_churn: float, category_count: int, files_changed: float) -> float:

@@ -21,10 +21,10 @@ import logging
 import re
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 from .errors import ConfigError, DataError
-from .store import CommitMeta, naive_epoch, require_str
+from .store import CommitMeta, Record, decode, naive_epoch
 
 logger = logging.getLogger(__name__)
 
@@ -116,7 +116,9 @@ class ParseRule:
 
 
 @dataclass(frozen=True)
-class TestRecord:
+class TestRecord(Record):
+    KIND: ClassVar[str] = "test_record"
+
     test_id: TestId
     commit_hash: str | None
     traffic: TrafficKpi
@@ -125,39 +127,22 @@ class TestRecord:
     missing_fields: frozenset[str] = field(default_factory=frozenset)
 
     def encode(self) -> dict:
-        def measured(kpis, names: tuple[str, ...]) -> dict:
-            return {name: v for name in names if (v := getattr(kpis, name)) is not None}
-
         return {
-            "kind": "test_record",
+            "kind": self.KIND,
             "day": self.test_id.day.isoformat(),
             "time": self.test_id.time_of_day.isoformat(),
             "commit_hash": self.commit_hash,
-            "traffic": measured(self.traffic, TRAFFIC_FIELDS),
-            "radio": measured(self.radio, RADIO_FIELDS),
-            "events": dict(sorted(self.events.items())),
+            "traffic": {k: v for k, v in vars(self.traffic).items() if v is not None},
+            "radio": {k: v for k, v in vars(self.radio).items() if v is not None},
+            "events": self.events,
             "missing_fields": sorted(self.missing_fields),
         }
 
     @classmethod
     def decode(cls, record: dict) -> "TestRecord":
-        try:
-            commit_hash = record["commit_hash"]
-            if commit_hash is not None:
-                require_str(commit_hash, "commit_hash")
-            return cls(
-                test_id=TestId(
-                    day=dt.date.fromisoformat(record["day"]),
-                    time_of_day=dt.time.fromisoformat(record["time"]),
-                ),
-                commit_hash=commit_hash,
-                traffic=TrafficKpi(**{k: record["traffic"].get(k) for k in TRAFFIC_FIELDS}),
-                radio=RadioKpm(**{k: record["radio"].get(k) for k in RADIO_FIELDS}),
-                events={k: int(v) for k, v in record["events"].items()},
-                missing_fields=frozenset(record["missing_fields"]),
-            )
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
-            raise DataError(f"malformed test_record record: {exc!r}") from exc
+        test_id = TestId(dt.date.fromisoformat(decode(str, record.get("day"), "day")),
+                         dt.time.fromisoformat(decode(str, record.get("time"), "time")))
+        return super().decode({**record, "test_id": test_id})
 
 
 # ---------------------------------------------------------------------------

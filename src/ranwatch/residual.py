@@ -16,9 +16,9 @@ repeated evidence before calling a commit degraded.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .assemble import AnalysisRow
 from .commitcat import LAYERS
 from .errors import ConfigError, DataError
 from .stats import cohens_d, welch_t
-from .store import require_str
+from .store import Record
 
 RATIO_EPS = 1e-6
 
@@ -52,7 +52,9 @@ def residual_ratio(measured: float, expected: float) -> float:
 
 
 @dataclass(frozen=True)
-class DegradationLabel:
+class DegradationLabel(Record):
+    KIND: ClassVar[str] = "label"
+
     day: str
     time: str
     commit_hash: str
@@ -64,30 +66,6 @@ class DegradationLabel:
     degraded: bool
     gating: str  # degraded | environmental_limit | normal
     attributed_layers: tuple[str, ...]
-
-    def encode(self) -> dict:
-        return {"kind": "label", **dataclasses.asdict(self)}
-
-    @classmethod
-    def decode(cls, record: dict) -> "DegradationLabel":
-        if record.get("kind") != "label":
-            raise DataError(f"expected label record, got {record.get('kind')!r}")
-        try:
-            return cls(
-                day=require_str(record["day"], "day"),
-                time=require_str(record["time"], "time"),
-                commit_hash=require_str(record["commit_hash"], "commit_hash"),
-                test_epoch=float(record["test_epoch"]),
-                deploy_epoch=float(record["deploy_epoch"]),
-                ratio=float(record["ratio"]),
-                expected_efficiency=float(record["expected_efficiency"]),
-                measured_efficiency=float(record["measured_efficiency"]),
-                degraded=bool(record["degraded"]),
-                gating=require_str(record["gating"], "gating"),
-                attributed_layers=tuple(record["attributed_layers"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"malformed label record: {exc!r}") from exc
 
 
 def classify(ratio: float, expected: float, thresholds: Thresholds) -> str:

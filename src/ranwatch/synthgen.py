@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .store import write_records
+from .store import decode, write_records
 
 LOAD_HIGH_MBPS = 50.0  # loads at or above this emit scheduler warnings
 
@@ -91,9 +91,6 @@ class Injection:
             raise ConfigError(f"injection drop must be in (0, 1), got {self.drop}")
         if self.onset_delay < 0:
             raise ConfigError("injection onset delay must be >= 0")
-        if isinstance(self.layers, str):
-            raise ConfigError(f"injection layers must be a list, got {self.layers!r}")
-        object.__setattr__(self, "layers", tuple(self.layers))
         if not self.layers:
             raise ConfigError("injection needs at least one planted layer")
         unknown = sorted(set(self.layers) - set(PLANT_KEYWORDS))
@@ -123,14 +120,22 @@ class ScenarioSpec:
     injections: tuple[Injection, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        try:
+            dt.datetime.fromisoformat(self.start_time)
+        except ValueError:
+            raise ConfigError(f"start_time is not an ISO timestamp: {self.start_time!r}") from None
         if self.n_commits < 1 or self.tests_per_commit < 1:
             raise ConfigError("scenario needs at least one commit and one test")
         if self.test_interval_hours <= 0:
             raise ConfigError("test interval must be positive")
         if not self.loads or any(l <= 0 for l in self.loads):
             raise ConfigError("loads must be positive")
-        if self.noise_std < 0:
-            raise ConfigError("noise std must be >= 0")
+        if self.noise_std < 0 or self.rsrp_jitter < 0:
+            raise ConfigError("noise_std and rsrp_jitter must be >= 0")
+        if self.bler_decay <= 0 or self.kpm_reports < 1:
+            raise ConfigError("bler_decay must be positive and kpm_reports at least 1")
         seen = set()
         for inj in self.injections:
             if not (0 <= inj.commit_index < self.n_commits):
@@ -153,28 +158,14 @@ def load_scenario(path: str | Path) -> ScenarioSpec:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: scenario must be a JSON object")
     try:
-        injections = tuple(
-            Injection(
-                commit_index=int(item["commit_index"]),
-                layers=item["layers"],
-                drop=float(item["drop"]),
-                onset_delay=int(item.get("onset_delay", 0)),
-            )
-            for item in raw.pop("injections", [])
-        )
-        known = {f.name for f in ScenarioSpec.__dataclass_fields__.values()}
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigError(f"{path}: unknown scenario fields: {sorted(unknown)}")
-        for tuple_field in ("loads", "sinr_range"):
-            if tuple_field in raw:
-                raw[tuple_field] = tuple(raw[tuple_field])
-        return ScenarioSpec(injections=injections, **raw)
-    except (KeyError, TypeError, ValueError) as exc:
+        spec = decode(ScenarioSpec, raw)
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: bad scenario: {exc}") from exc
+    unknown = set(raw) - ScenarioSpec.__dataclass_fields__.keys()
+    if unknown:
+        raise ConfigError(f"{path}: unknown scenario fields: {sorted(unknown)}")
+    return spec
 
 
 @dataclass(frozen=True)

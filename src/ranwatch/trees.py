@@ -22,11 +22,9 @@ from __future__ import annotations
 
 import base64
 import dataclasses
-import functools
 import hashlib
 import json
 import math
-import typing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -34,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataError, RanwatchError
-from .store import SCHEMA_VERSION, dumps_record
+from .store import SCHEMA_VERSION, decode, dumps_record
 
 
 @dataclass(frozen=True)
@@ -47,6 +45,10 @@ class Vectorizer:
 
     columns: tuple[str, ...]
     imputation: dict[str, float]
+
+    def __post_init__(self) -> None:
+        if not self.imputation.keys() >= set(self.columns):
+            raise ValueError("every column needs a fill value")
 
     def transform(self, rows: Sequence[dict]) -> np.ndarray:
         out = np.empty((len(rows), len(self.columns)), dtype=float)
@@ -177,12 +179,10 @@ class Forest:
     @classmethod
     def decode(cls, data: dict, n_columns: int) -> "Forest":
         """Read ``encode``'s output back; ValueError or TypeError if malformed."""
-        if not all(type(size) is int for size in data["sizes"]):
-            raise TypeError("forest sizes must be integers")
         forest = cls(**{
             name: np.frombuffer(base64.b64decode(data[name], validate=True), dtype=dtype)
             for name, dtype in _NODE_DTYPES.items()
-        }, sizes=tuple(data["sizes"]))
+        }, sizes=decode(tuple[int, ...], data["sizes"], "sizes"))
         if forest.feature.max() >= n_columns:
             raise ValueError("tree nodes name a column the model lacks")
         return forest
@@ -318,28 +318,22 @@ def grow_tree(
 # ---------------------------------------------------------------------------
 # model files
 
-# Fields every ensemble model dataclass has; its other fields are floats
-# stored at the top level of the record (``f0``, ``target_floor``, ...).
-_ENSEMBLE_FIELDS = ("vectorizer", "params", "seed", "trees", "meta")
-
-
-def _scalar_fields(model_cls: type) -> list[str]:
-    return [f.name for f in dataclasses.fields(model_cls) if f.name not in _ENSEMBLE_FIELDS]
-
-
 def ensemble_record(model) -> dict:
-    """The JSON record of a model; its class names the record's ``KIND``."""
-    record = {
+    """The JSON record of a model; its class names the record's ``KIND``.
+
+    Fields of the model besides its vectorizer, parameters, seed and trees
+    (``meta``, and floats such as ``f0`` or ``target_floor``) are stored at
+    the top level, where ``load_ensemble`` reads them back by name.
+    """
+    return {
+        **{name: value for name, value in vars(model).items()
+           if name not in ("vectorizer", "params", "seed", "trees")},
         "kind": model.KIND,
         "columns": list(model.vectorizer.columns),
         "imputation": model.vectorizer.imputation,
         "hyperparameters": {**dataclasses.asdict(model.params), "seed": model.seed},
-        "meta": model.meta,
         "forest": model.trees.encode(),
     }
-    for name in _scalar_fields(type(model)):
-        record[name] = getattr(model, name)
-    return record
 
 
 def save_ensemble(model, path: str | Path) -> None:
@@ -350,27 +344,6 @@ def save_ensemble(model, path: str | Path) -> None:
 
 def ensemble_hash(model) -> str:
     return hashlib.sha256(dumps_record(ensemble_record(model)).encode("utf-8")).hexdigest()
-
-
-def _number(value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"expected a number, got {value!r}")
-    return float(value)
-
-
-@functools.cache
-def _field_kinds(cls: type) -> dict[str, type]:
-    hints = typing.get_type_hints(cls)
-    return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
-
-
-def _typed(name: str, value, kind: type):
-    """``value`` if it is a ``kind``; a float field also takes an int."""
-    if kind is float:
-        return _number(value)
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise TypeError(f"hyperparameter {name} has the wrong type: {value!r}")
-    return value
 
 
 def load_ensemble(path: str | Path, model_cls: type):
@@ -393,22 +366,13 @@ def load_ensemble(path: str | Path, model_cls: type):
         raise DataError(f"{path}: unsupported schema version")
     try:
         hp = record["hyperparameters"]
-        # the parameter class is the one the model's ``params`` field names
-        params_cls = _field_kinds(model_cls)["params"]
-        params = params_cls(**{name: _typed(name, hp[name], kind)
-                                for name, kind in _field_kinds(params_cls).items()})
-        columns = tuple(record["columns"])
-        if not all(isinstance(c, str) for c in columns):
-            raise TypeError("column names must be strings")
-        imputation = {c: _number(record["imputation"][c]) for c in columns}
-        trees = Forest.decode(record["forest"], len(columns))
-        return model_cls(
-            vectorizer=Vectorizer(columns, imputation),
-            params=params,
-            seed=_typed("seed", hp["seed"], int),
-            trees=trees,
-            meta=dict(record.get("meta", {})),
-            **{name: _number(record[name]) for name in _scalar_fields(model_cls)},
-        )
+        vectorizer = decode(Vectorizer, record)
+        trees = Forest.decode(record["forest"], len(vectorizer.columns))
+        model = decode(model_cls, {**record, "vectorizer": vectorizer, "params": hp,
+                                   "seed": hp["seed"], "trees": trees})
+        missing = dataclasses.asdict(model.params).keys() - hp.keys()
+        if missing:  # a trained model's file holds them all; none takes its default
+            raise KeyError(f"hyperparameters lack {sorted(missing)}")
+        return model
     except (KeyError, TypeError, ValueError, RanwatchError) as exc:
         raise DataError(f"{path}: malformed model file, retrain it: {exc!r}") from exc

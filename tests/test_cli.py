@@ -354,6 +354,37 @@ def test_injection_with_unknown_layers_exits_2(tmp_path, capsys, layers):
     assert "config error:" in capsys.readouterr().err
 
 
+# one JSON value of the wrong type for each field of a scenario and of an
+# injection, then values of the right type out of range
+_BAD_SCENARIO_VALUES = [("scenario", key, value) for key, value in {
+    "seed": "7", "n_commits": 2.5, "tests_per_commit": True, "test_interval_hours": "16",
+    "start_time": 5, "loads": [10.0, True], "sinr_range": [8.0], "rsrp_base": None,
+    "rsrp_per_sinr_db": "1", "rsrp_jitter": [], "bler_scale": {}, "bler_decay": True,
+    "sigmoid_a": "x", "sigmoid_b": None, "link_capacity": "90", "noise_std": True,
+    "kpm_reports": 2.5, "injections": {},
+}.items()] + [("injection", key, value) for key, value in {
+    "commit_index": 1.0, "layers": {"PDCP": 1}, "drop": "0.4", "onset_delay": 0.5,
+}.items()] + [("scenario", key, value) for key, value in [
+    ("seed", -1), ("start_time", "x"), ("rsrp_jitter", -1.0), ("bler_decay", 0.0),
+    ("kpm_reports", 0),
+]]
+
+
+@pytest.mark.parametrize(
+    "where,key,value", _BAD_SCENARIO_VALUES,
+    ids=[f"{where}-{key}-{json.dumps(value)}" for where, key, value in _BAD_SCENARIO_VALUES],
+)
+def test_scenario_value_of_the_wrong_type_or_range_exits_2(tmp_path, capsys, where, key, value):
+    scenario = {"seed": 1, "n_commits": 2, "tests_per_commit": 2,
+                "injections": [{"commit_index": 1, "layers": ["PDCP"], "drop": 0.4}]}
+    (scenario if where == "scenario" else scenario["injections"][0])[key] = value
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario), encoding="utf-8")
+    assert main(["synth", "--scenario", str(path), "--out", str(tmp_path / "c")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error:" in err and key in err
+
+
 _BASELINE_KEYS = [
     ("hyperparameters", "n_trees"),
     ("hyperparameters", "max_depth"),
@@ -526,6 +557,7 @@ def _inputs(pipeline) -> dict[str, Path]:
         "label": paths["analysis"] / "labels.jsonl",
         "test_record": paths["records"],
         "commit_features": paths["features"],
+        "commit": paths["corpus"] / "commits.jsonl",
     }
 
 
@@ -534,7 +566,7 @@ def _stage_argv(pipeline, stage: str, tmp_path: Path, **replaced: Path) -> list[
     each record kind in ``replaced`` swapped for the path given."""
     inputs = {k: str(v) for k, v in {**_inputs(pipeline), **replaced}.items()}
     corpus = pipeline["paths"]["corpus"]
-    commits = str(corpus / "commits.jsonl")
+    commits = inputs["commit"]
     out = str(tmp_path / "out")
     return {
         "ingest": ["ingest", "--dataset", str(corpus / "dataset"), "--commits", commits,
@@ -588,6 +620,37 @@ def test_record_that_is_not_an_object_exits_1(pipeline, tmp_path, capsys, kind, 
     path.write_text("[1]\n", encoding="utf-8")
     assert main(_stage_argv(pipeline, stage, tmp_path, **{kind: path})) == EXIT_DATA
     assert "not a JSON object" in capsys.readouterr().err
+
+
+# (kind, key path, value, stage): a value of the wrong JSON type that used to
+# be coerced (a truthy string, a string split into letters, a truncated
+# float, a string passed through, a boolean read as 1.0)
+_MISTYPED_VALUES = [
+    ("label", ("degraded",), "false", "report"),
+    ("label", ("attributed_layers",), "PHY", "report"),
+    ("commit", ("files_changed",), 5.7, "categorize"),
+    ("test_record", ("traffic", "throughput_efficiency"), "0.9", "assemble"),
+    ("commit_features", ("features", "cat_phy"), True, "score"),
+    ("analysis_row", ("env", "sinr"), True, "analyze"),
+]
+
+
+@pytest.mark.parametrize(
+    "kind,field,value,stage", _MISTYPED_VALUES,
+    ids=[f"{kind}-{'.'.join(field)}-{stage}" for kind, field, _, stage in _MISTYPED_VALUES],
+)
+def test_record_value_of_the_wrong_type_exits_1(pipeline, tmp_path, capsys, kind, field, value,
+                                                stage):
+    records = read_records(_inputs(pipeline)[kind])
+    holder = next(r for r in records if r["kind"] == kind)
+    for part in field[:-1]:
+        holder = holder[part]
+    holder[field[-1]] = value
+    path = tmp_path / "in.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    assert main(_stage_argv(pipeline, stage, tmp_path, **{kind: path})) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "data error:" in err and ".".join(field) in err
 
 
 def test_hyperparameter_of_the_wrong_type_exits_2(pipeline, tmp_path, capsys):
@@ -746,8 +809,10 @@ def _leaf_paths(value, path=()):
 
 @pytest.mark.parametrize(
     "kind,stage",
-    [("test_record", "assemble"), ("analysis_row", "analyze"), ("label", "train-risk"),
-     ("label", "report"), ("commit_features", "score")],
+    [("test_record", "assemble"), ("analysis_row", "analyze"), ("analysis_row", "decompose"),
+     ("analysis_row", "train-baseline"), ("label", "train-risk"), ("label", "report"),
+     ("commit_features", "score"), ("commit", "categorize"), ("commit", "ingest"),
+     ("commit", "assemble")],
 )
 @pytest.mark.parametrize("value", [None, "x", [], {}, 1e308, -1], ids=repr)
 @settings(max_examples=10, deadline=None,

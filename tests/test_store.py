@@ -1,8 +1,10 @@
-"""Record persistence: canonical bytes, schema checks, commit loading."""
+"""Record persistence: canonical bytes, schema checks, typed decoding, commit loading."""
 
 from __future__ import annotations
 
 import json
+import re
+from dataclasses import dataclass
 
 import pytest
 
@@ -10,6 +12,7 @@ from ranwatch.errors import DataError
 from ranwatch.store import (
     SCHEMA_VERSION,
     CommitMeta,
+    decode,
     dumps_record,
     load_commits,
     naive_epoch,
@@ -107,3 +110,57 @@ def test_load_commits_rejects_empty(tmp_path):
     write_records(path, [{"kind": "other"}])
     with pytest.raises(DataError):
         load_commits(path)
+
+
+@pytest.mark.parametrize("deploy_time", ["x", "2025-01-01T00:00:00+00:00"])
+def test_load_commits_rejects_a_deploy_time_that_is_not_naive_iso(tmp_path, deploy_time):
+    path = tmp_path / "commits.jsonl"
+    write_records(path, [{"kind": "commit", "hash": "a" * 40, "deploy_time": deploy_time,
+                          "message": "m", "files_changed": 1, "lines_added": 1,
+                          "lines_deleted": 0}])
+    with pytest.raises(DataError, match="deploy_time"):
+        load_commits(path)
+
+
+@dataclass(frozen=True)
+class _Inner:
+    x: float
+    tags: tuple[str, ...] = ()
+
+
+@dataclass(frozen=True)
+class _Outer:
+    inner: _Inner
+    pair: tuple[int, int]
+    table: dict[str, float | None]
+    note: str | None
+
+
+def test_decode_reads_declared_types_and_converts_ints_to_floats():
+    value = decode(_Outer, {"inner": {"x": 1}, "pair": [1, 2], "table": {"a": 2, "b": None},
+                            "unknown": "ignored"})
+    assert value == _Outer(_Inner(1.0), (1, 2), {"a": 2.0, "b": None}, None)
+    assert type(value.inner.x) is float and type(value.table["a"]) is float
+    with pytest.raises(TypeError, match="^value must be an object"):
+        decode(_Outer, [])
+
+
+_GOOD = {"inner": {"x": 1.0}, "pair": [1, 2], "table": {}, "note": "n"}
+
+
+@pytest.mark.parametrize(
+    "replaced,message",
+    [
+        ({"inner": {"x": True}}, "inner.x must be a number, got True"),
+        ({"inner": {"x": 1.0, "tags": ["a", 3]}}, "inner.tags.1 must be a string, got 3"),
+        ({"inner": {}}, "inner.x must be present"),
+        ({"pair": [1, 2, 3]}, "pair must be a list of 2"),
+        ({"pair": [1, 2.0]}, "pair.1 must be an integer, got 2.0"),
+        ({"table": {"a": "1"}}, "table.a must be a number, got '1'"),
+        ({"note": 5}, "note must be a string, got 5"),
+        ({"inner": [1.0]}, "inner must be an object"),
+    ],
+)
+def test_decode_names_the_field_of_the_wrong_type(replaced, message):
+    with pytest.raises(TypeError, match=re.escape(message)):
+        decode(_Outer, {**_GOOD, **replaced})
