@@ -12,17 +12,22 @@ bootstraps whole commits instead and gives each row the mean of the trees
 whose sample left its commit out, so no row's expectation comes from a
 tree that saw any test of its commit. Those trees did see tests from both
 before and after it.
+
+``env_matrix`` is the one reader of the environment columns outside
+``assemble``: this model takes them alone, the risk model followed by the
+commit features.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
+from .assemble import ENV_FEATURES, AnalysisRow
 from .errors import ConfigError, DataError
 from .trees import Forest, Tree, Vectorizer, grow_tree, load_ensemble
 
@@ -67,6 +72,16 @@ def build_feature_matrix(columns: tuple[str, ...], raw_rows: list[dict]) -> Feat
         imputation[col] = float(np.median(observed)) if observed.size else 0.0
     vectorizer = Vectorizer(columns, imputation)
     return FeatureMatrix(vectorizer, vectorizer.transform(raw_rows))
+
+
+def env_matrix(rows: Sequence[AnalysisRow], commit_columns: tuple[str, ...] = ()) -> FeatureMatrix:
+    """The rows' environment columns, then ``commit_columns`` of their commit features."""
+    return build_feature_matrix(ENV_FEATURES + commit_columns,
+                                [{**row.env, **row.commit} for row in rows])
+
+
+def _efficiency(rows: Sequence[AnalysisRow]) -> np.ndarray:
+    return np.array([row.efficiency for row in rows], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -119,14 +134,6 @@ def _grow_bagged(
     return bagged
 
 
-def _tree_order_sum(leaves: np.ndarray) -> np.ndarray:
-    """Each row's sum of its leaf values in tree order; another order rounds differently."""
-    acc = np.zeros(leaves.shape[0], dtype=float)
-    for j in range(leaves.shape[1]):
-        acc += leaves[:, j]
-    return acc
-
-
 def train_baseline(
     matrix: FeatureMatrix,
     y: np.ndarray,
@@ -157,7 +164,14 @@ def predict_matrix(model: BaselineModel, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != len(model.vectorizer.columns):
         raise DataError("prediction input has wrong number of columns")
-    return np.maximum(_tree_order_sum(model.trees.leaf_values(X)) / len(model.trees), 0.0)
+    # summed over the first axis of leaf_values' (n_trees, n_rows) block, in
+    # tree order as a tree-by-tree sum; another order rounds differently
+    return np.maximum(model.trees.leaf_values(X).T.sum(axis=0) / len(model.trees), 0.0)
+
+
+def predict_rows(model: BaselineModel, rows: Sequence[AnalysisRow]) -> np.ndarray:
+    """The model's expected efficiency of each row, from its environment."""
+    return predict_matrix(model, model.vectorizer.transform([row.env for row in rows]))
 
 
 # ---------------------------------------------------------------------------
@@ -232,9 +246,47 @@ def out_of_bag_predictions(
     if n_oob.min() == 0:
         raise ConfigError(f"trees: {params.n_trees} trees leave {int(np.sum(n_oob == 0))} "
                           "rows with no out-of-bag tree; use more trees")
-    leaves = Forest.pack([tree for _, tree in bagged]).leaf_values(matrix.values)
+    block = Forest.pack([tree for _, tree in bagged]).leaf_values(matrix.values).T
     # a tree that saw the row's commit adds 0.0, which leaves the sum's bits as they were
-    return np.maximum(_tree_order_sum(np.where(oob, leaves, 0.0)) / n_oob, 0.0), n_oob
+    return np.maximum(np.where(oob.T, block, 0.0).sum(axis=0) / n_oob, 0.0), n_oob
+
+
+def train_on_rows(
+    rows: Sequence[AnalysisRow], params: BaselineParams, seed: int, test_fraction: float
+) -> tuple[BaselineModel, dict[str, RegressionMetrics]]:
+    """A model of the earliest rows, and its held-out metrics on the latest
+    ``test_fraction`` of them, in efficiency and in Mbps."""
+    train_idx, test_idx = chronological_split(len(rows), test_fraction)
+    train, test = [rows[i] for i in train_idx], [rows[i] for i in test_idx]
+    model = train_baseline(env_matrix(train), _efficiency(train), params, seed)
+    y, pred = _efficiency(test), predict_rows(model, test)
+    rates = np.array([row.target_rate for row in test], dtype=float)
+    return model, {"efficiency": regression_metrics(y, pred),
+                   "mbps": regression_metrics(y * rates, pred * rates)}
+
+
+def with_expectations(rows: Sequence[AnalysisRow], expected: np.ndarray) -> list[AnalysisRow]:
+    """Copies of the rows with ``expected`` as their expected efficiency."""
+    return [replace(row, expected_efficiency=float(e)) for row, e in zip(rows, expected)]
+
+
+@dataclass(frozen=True)
+class OutOfBagFit:
+    fit: RegressionMetrics  # of the expectations to the measured efficiency
+    min_trees: int  # the fewest out-of-bag trees behind a row's expectation
+    median_trees: float  # and their median over the rows
+
+
+def out_of_bag_rows(
+    rows: Sequence[AnalysisRow], params: BaselineParams, seed: int
+) -> tuple[list[AnalysisRow], OutOfBagFit]:
+    """The rows with out-of-bag expected efficiency filled in, and its fit."""
+    y = _efficiency(rows)
+    expected, n_oob = out_of_bag_predictions(
+        env_matrix(rows), y, [row.commit_hash for row in rows], params, seed
+    )
+    fit = OutOfBagFit(regression_metrics(y, expected), int(n_oob.min()), float(np.median(n_oob)))
+    return with_expectations(rows, expected), fit
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ Subcommands mirror the pipeline stages: synth, ingest, categorize,
 assemble, decompose, train-baseline, analyze, train-risk, score, report.
 Every stage reads and writes files, never global state, so stages can be
 re-run individually and reruns with identical inputs produce identical
-bytes.
+bytes. This module only parses flags and config files, reads a stage's
+inputs, calls the library modules that compute the stage, writes what
+they return and prints a summary.
 
 Exit codes: 0 success, 1 unusable input data, 2 bad configuration or
 usage, 3 analysis completed and found at least one degraded commit.
@@ -20,8 +22,6 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import assemble as assemble_mod
 from . import baseline as baseline_mod
 from . import commitcat
@@ -29,7 +29,6 @@ from . import ingest as ingest_mod
 from . import refine
 from . import residual as residual_mod
 from . import risk as risk_mod
-from . import stats
 from . import synthgen
 from .errors import ConfigError, DataError, RanwatchError
 from .store import load_commits, load_records, write_records
@@ -192,7 +191,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     records = []
     rejected = 0
     for entry in entries:
-        assigned = ingest_mod.assign_commit(entry.test_id, commits) if commits else None
+        assigned = ingest_mod.assign_commit(entry.test_id, commits)
         commit_hash = assigned.hash if assigned else None
         try:
             record = ingest_mod.build_test_record(
@@ -269,105 +268,21 @@ def _cmd_assemble(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_DECOMP_TARGETS = ("efficiency", "packet_loss", "jitter")
-_CHANNEL_COLUMNS = ("rsrp", "sinr", "dl_bler", "ul_bler")
-_LOAD_COLUMNS = ("target_rate",)
-
-
-def _discretize_column(values: np.ndarray, n_bins: int, name: str) -> np.ndarray:
-    """Quantile-bin numeric columns; small vocabularies pass through."""
-    distinct = np.unique(values)
-    if distinct.size <= n_bins:
-        return np.searchsorted(distinct, values)
-    return stats.discretize(values, n_bins=n_bins, name=name).labels
-
-
-def _decomposition_groups(rows: list) -> dict[str, list[tuple[str, np.ndarray]]]:
-    """Raw factor columns per group, median-imputed where measurements gap."""
-    groups: dict[str, list[tuple[str, np.ndarray]]] = {
-        "channel": [],
-        "load": [],
-        "code": [],
-    }
-    env = baseline_mod.build_feature_matrix(
-        _CHANNEL_COLUMNS + _LOAD_COLUMNS, [row.env for row in rows]
-    )
-    for j, col in enumerate(env.vectorizer.columns):
-        group = "load" if col in _LOAD_COLUMNS else "channel"
-        groups[group].append((col, env.values[:, j]))
-    for name in commitcat.FEATURE_NAMES[: len(commitcat.CATEGORIES)]:
-        values = np.array([row.commit[name] for row in rows], dtype=float)
-        groups["code"].append((name, values))
-    return groups
-
-
 def _cmd_decompose(args: argparse.Namespace) -> int:
     if args.max_bins < 2:
         raise ConfigError("max_bins must be >= 2")
-    rows = assemble_mod.load_rows(args.rows)
-    raw_groups = _decomposition_groups(rows)
-    out_rows = []
-    for target in _DECOMP_TARGETS:
-        values = [getattr(row, target) for row in rows]
-        keep = [i for i, v in enumerate(values) if v is not None]
-        if len(keep) < 2:
-            continue
-        y = np.array([values[i] for i in keep], dtype=float)
-        if float(np.var(y)) == 0.0:
-            continue
-        binned: dict[str, list[np.ndarray]] = {}
-        for group, columns in raw_groups.items():
-            binned[group] = [
-                _discretize_column(vals[keep], args.max_bins, name) for name, vals in columns
-            ]
-        for group in ("channel", "load", "code"):
-            conditioning = [
-                col
-                for other in ("channel", "load", "code")
-                if other != group
-                for col in binned[other]
-            ]
-            report = stats.variance_explained(y, binned[group], conditioning)
-            out_rows.append(
-                (group, target, report.score, report.n_rows, report.n_groups)
-            )
-    if not out_rows:
-        raise DataError("no decomposable targets with variance in the rows")
-    _write_tsv(
-        Path(args.out),
-        ("factor", "target", "score", "n_rows", "n_groups"),
-        out_rows,
-    )
-    for group, target, score, _, _ in out_rows:
-        print(f"{group:>8} -> {target}: {score:.4f}")
+    shares = residual_mod.decompose(assemble_mod.load_rows(args.rows), args.max_bins)
+    _write_records_tsv(Path(args.out), residual_mod.VarianceShare, shares)
+    for s in shares:
+        print(f"{s.factor:>8} -> {s.target}: {s.score:.4f}")
     return EXIT_OK
-
-
-def _env_matrix(rows: list) -> baseline_mod.FeatureMatrix:
-    return baseline_mod.build_feature_matrix(
-        assemble_mod.ENV_FEATURES, [row.env for row in rows]
-    )
 
 
 def _cmd_train_baseline(args: argparse.Namespace) -> int:
     params = _params(baseline_mod.BaselineParams, args, _BASELINE_OPTIONS)
-    rows = assemble_mod.load_rows(args.rows)
-    train_idx, test_idx = baseline_mod.chronological_split(len(rows), args.test_fraction)
-    train_rows = [rows[i] for i in train_idx]
-    test_rows = [rows[i] for i in test_idx]
-    matrix = _env_matrix(train_rows)
-    y_train = np.array([r.efficiency for r in train_rows], dtype=float)
-    model = baseline_mod.train_baseline(matrix, y_train, params, args.seed)
-
-    X_test = model.vectorizer.transform([r.env for r in test_rows])
-    y_test = np.array([r.efficiency for r in test_rows], dtype=float)
-    pred = baseline_mod.predict_matrix(model, X_test)
-    rates = np.array([r.target_rate for r in test_rows], dtype=float)
-    metrics = {
-        "efficiency": baseline_mod.regression_metrics(y_test, pred),
-        "mbps": baseline_mod.regression_metrics(y_test * rates, pred * rates),
-    }
-
+    model, metrics = baseline_mod.train_on_rows(
+        assemble_mod.load_rows(args.rows), params, args.seed, args.test_fraction
+    )
     save_ensemble(model, args.out)
     if args.metrics:
         _write_records_tsv(
@@ -382,30 +297,20 @@ def _cmd_train_baseline(args: argparse.Namespace) -> int:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     thresholds = _params(residual_mod.Thresholds, args, _THRESHOLD_OPTIONS)
     rows = assemble_mod.load_rows(args.rows)
-
+    out_dir = Path(args.out_dir)
     if args.model:
         model = baseline_mod.load_model(args.model)
-        X = model.vectorizer.transform([r.env for r in rows])
-        expected = baseline_mod.predict_matrix(model, X)
+        rows = baseline_mod.with_expectations(rows, baseline_mod.predict_rows(model, rows))
     else:
-        y = np.array([r.efficiency for r in rows], dtype=float)
         params = _params(baseline_mod.BaselineParams, args, _BASELINE_OPTIONS)
-        expected, n_oob = baseline_mod.out_of_bag_predictions(
-            _env_matrix(rows), y, [r.commit_hash for r in rows], params, args.seed
-        )
-        quality = baseline_mod.regression_metrics(y, expected)
-        _write_records_tsv(Path(args.out_dir) / "baseline_quality.tsv",
-                           baseline_mod.RegressionMetrics, [("efficiency", quality)], key="unit")
-        print(f"out-of-bag efficiency: r2={quality.r2:.4f} mae={quality.mae:.4g} "
-              f"rmse={quality.rmse:.4g} n={quality.n}, trees per row: "
-              f"min {n_oob.min()} median {np.median(n_oob):g}")
+        rows, oob = baseline_mod.out_of_bag_rows(rows, params, args.seed)
+        _write_records_tsv(out_dir / "baseline_quality.tsv",
+                           baseline_mod.RegressionMetrics, [("efficiency", oob.fit)], key="unit")
+        print(f"out-of-bag efficiency: r2={oob.fit.r2:.4f} mae={oob.fit.mae:.4g} "
+              f"rmse={oob.fit.rmse:.4g} n={oob.fit.n}, trees per row: "
+              f"min {oob.min_trees} median {oob.median_trees:g}")
 
-    rows = [
-        dataclasses.replace(row, expected_efficiency=float(e))
-        for row, e in zip(rows, expected)
-    ]
     labels = residual_mod.label_rows(rows, thresholds)
-    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_records(out_dir / "labels.jsonl", [l.encode() for l in labels])
 
@@ -446,49 +351,17 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return EXIT_DEGRADED if n_bad else EXIT_OK
 
 
-_RISK_COLUMNS = tuple(assemble_mod.ENV_FEATURES) + commitcat.FEATURE_NAMES
-
-
-def _risk_binary_slots() -> tuple[int, ...]:
-    offset = len(assemble_mod.ENV_FEATURES)
-    index = {name: i for i, name in enumerate(commitcat.FEATURE_NAMES)}
-    return tuple(offset + index[name] for name in commitcat.BINARY_FEATURE_NAMES)
-
-
 def _cmd_train_risk(args: argparse.Namespace) -> int:
     params = _params(risk_mod.RiskParams, args, _RISK_OPTIONS)
     rows = assemble_mod.load_rows(args.rows)
     labels = load_records(args.labels, residual_mod.DegradationLabel)
-    degraded_by_test = {(label.day, label.time): label.degraded for label in labels}
-    y_all = []
-    for row in rows:
-        key = (row.day, row.time)
-        if key not in degraded_by_test:
-            raise DataError(f"no label for test {row.day}/{row.time}")
-        y_all.append(1 if degraded_by_test[key] else 0)
-    y_all = np.array(y_all, dtype=int)
-
-    train_idx, test_idx = baseline_mod.chronological_split(len(rows), args.test_fraction)
-    train_rows = [rows[i] for i in train_idx]
-    matrix = baseline_mod.build_feature_matrix(
-        _RISK_COLUMNS, [{**r.env, **r.commit} for r in train_rows]
-    )
-    y_train = y_all[train_idx]
-    X_bal, y_bal, synthetic = risk_mod.balance_training_set(
-        matrix.values, y_train, params, args.seed, _risk_binary_slots()
-    )
-    model = risk_mod.train_risk(X_bal, y_bal, params, args.seed, matrix.vectorizer)
-    model.meta["n_synthetic"] = int(synthetic.sum())
+    model, metrics, n_train = risk_mod.train_on_rows(rows, labels, params, args.seed,
+                                                     args.test_fraction)
     save_ensemble(model, args.out)
-
-    test_rows = [rows[i] for i in test_idx]
-    X_test = model.vectorizer.transform([{**r.env, **r.commit} for r in test_rows])
-    y_test = y_all[test_idx]
-    metrics = risk_mod.evaluate_classifier(model, X_test, y_test)
     lines = [
         f"model: {args.out} (hash {ensemble_hash(model)[:12]})",
-        f"train: {len(train_rows)} rows ({int(synthetic.sum())} synthetic added), "
-        f"test: {len(test_rows)} rows",
+        f"train: {n_train} rows ({model.meta['n_synthetic']} synthetic added), "
+        f"test: {sum(metrics.confusion.values())} rows",
         f"held-out accuracy {metrics.accuracy:.4f}, confusion {metrics.confusion}",
     ]
     if metrics.positive.recall is not None:
@@ -496,9 +369,8 @@ def _cmd_train_risk(args: argparse.Namespace) -> int:
             f"degraded class: precision={_fmt(metrics.positive.precision)} "
             f"recall={_fmt(metrics.positive.recall)} f1={_fmt(metrics.positive.f1)}"
         )
-    if len(set(y_test.tolist())) == 2:
-        auc = risk_mod.roc_auc(y_test, risk_mod.predict_proba(model, X_test))
-        lines.append(f"held-out auc {auc:.4f}")
+    if metrics.auc is not None:
+        lines.append(f"held-out auc {metrics.auc:.4f}")
     if args.metrics:
         _write_records_tsv(
             Path(args.metrics),
@@ -515,10 +387,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
     features = load_records(args.features, commitcat.CommitFeatures)
     if not features:
         raise DataError(f"no commit features in {args.features}")
-    X = model.vectorizer.transform([f.as_dict() for f in features])
-    proba = risk_mod.predict_proba(model, X).tolist()
-    out_rows = [(f.commit_hash, p, p >= args.threshold) for f, p in zip(features, proba)]
-    out_rows.sort(key=lambda r: (-r[1], r[0]))
+    out_rows = risk_mod.score_commits(model, features, args.threshold)
     _write_tsv(Path(args.out), ("commit_hash", "risk", "flagged"), out_rows)
     flagged = sum(1 for r in out_rows if r[2])
     print(f"scored {len(out_rows)} commits, {flagged} above {args.threshold:g}")

@@ -15,6 +15,7 @@ vice versa); only a test where nothing parses is rejected.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import datetime as dt
 import logging
@@ -458,12 +459,8 @@ def build_test_record(
 
 
 def assign_commit(test_id: TestId, commits: Sequence[CommitMeta]) -> CommitMeta | None:
-    """Latest commit deployed at or before the test start, if any."""
-    best: CommitMeta | None = None
-    epoch = test_id.epoch
-    for meta in commits:  # commits are sorted by deploy time
-        if meta.deploy_epoch <= epoch:
-            best = meta
-        else:
-            break
-    return best
+    """Latest commit deployed at or before the test start, if any; of
+    commits deployed at the same time, the last. ``commits`` are sorted by
+    deploy time, as ``load_commits`` returns them."""
+    i = bisect.bisect_right(commits, test_id.epoch, key=lambda meta: meta.deploy_epoch)
+    return commits[i - 1] if i else None

@@ -10,22 +10,24 @@ environment-limited, not blamed on code.
 
 Also here: a time-decay scoring baseline that credits a commit for
 faults occurring shortly after its deployment, over an hour, a day and a
-week, used as a comparison point, and per-commit rollups that need
-repeated evidence before calling a commit degraded.
+week, used as a comparison point, per-commit rollups that need repeated
+evidence before calling a commit degraded, and the decomposition of each
+target's variance into the shares of channel, load and code.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import ClassVar
 
 import numpy as np
 
 from .assemble import AnalysisRow
-from .commitcat import LAYERS
+from .baseline import build_feature_matrix
+from .commitcat import CATEGORIES, FEATURE_NAMES, LAYERS
 from .errors import ConfigError, DataError
-from .stats import cohens_d, welch_t
+from .stats import cohens_d, discretize, variance_explained, welch_t
 from .store import Record
 
 RATIO_EPS = 1e-6
@@ -337,3 +339,66 @@ def ratio_histogram(labels: list[DegradationLabel]) -> list[tuple[float, float, 
     ratios = np.array([l.ratio for l in labels], dtype=float)
     counts, edges = np.histogram(ratios, bins=40, range=(0.0, 2.0))
     return [(float(edges[i]), float(edges[i + 1]), int(counts[i])) for i in range(40)]
+
+
+# ---------------------------------------------------------------------------
+# variance decomposition
+
+
+_TARGETS = ("efficiency", "packet_loss", "jitter")
+_CHANNEL_COLUMNS = ("rsrp", "sinr", "dl_bler", "ul_bler")
+_LOAD_COLUMNS = ("target_rate",)
+
+
+@dataclass(frozen=True)
+class VarianceShare:
+    factor: str  # channel | load | code
+    target: str
+    score: float
+    n_rows: int
+    n_groups: int
+
+
+def _bin_labels(values: np.ndarray, n_bins: int, name: str) -> np.ndarray:
+    """Quantile-bin numeric columns; small vocabularies pass through."""
+    distinct = np.unique(values)
+    if distinct.size <= n_bins:
+        return np.searchsorted(distinct, values)
+    return discretize(values, n_bins=n_bins, name=name).labels
+
+
+def decompose(rows: list[AnalysisRow], max_bins: int) -> list[VarianceShare]:
+    """Share of each target's variance that channel, load and code each
+    explain beyond the other two, from the environment columns, median-imputed
+    where measurements gap, and the commit's category flags, each cut into at
+    most ``max_bins`` bins. A target is scored on the rows that measured it,
+    and left out if constant or measured by fewer than two; a variance that
+    overflows a float is a DataError."""
+    env = build_feature_matrix(_CHANNEL_COLUMNS + _LOAD_COLUMNS, [row.env for row in rows])
+    factors: dict[str, list[tuple[str, np.ndarray]]] = {"channel": [], "load": [], "code": []}
+    for j, col in enumerate(env.vectorizer.columns):
+        factors["load" if col in _LOAD_COLUMNS else "channel"].append((col, env.values[:, j]))
+    for name in FEATURE_NAMES[: len(CATEGORIES)]:
+        factors["code"].append((name, np.array([row.commit[name] for row in rows], dtype=float)))
+    shares = []
+    for target in _TARGETS:
+        values = [getattr(row, target) for row in rows]
+        keep = [i for i, v in enumerate(values) if v is not None]
+        if len(keep) < 2:
+            continue
+        y = np.array([values[i] for i in keep], dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            spread = float(np.var(y))
+        if spread == 0.0:
+            continue
+        if not math.isfinite(spread):
+            raise DataError(f"variance of {target} overflows a float; check its largest values")
+        binned = {factor: [_bin_labels(vals[keep], max_bins, name) for name, vals in columns]
+                  for factor, columns in factors.items()}
+        for factor in binned:
+            conditioning = [col for other in binned if other != factor for col in binned[other]]
+            report = variance_explained(y, binned[factor], conditioning)
+            shares.append(VarianceShare(factor, target, *astuple(report)))
+    if not shares:
+        raise DataError("no decomposable targets with variance in the rows")
+    return shares

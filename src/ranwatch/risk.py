@@ -6,19 +6,25 @@ pieces live here: minority oversampling by interpolation between nearest
 neighbors, which balances the classes 1:1, and a small gradient-boosted
 tree classifier that weighs every row equally. Synthetic rows are flagged
 so evaluation can exclude them; metrics computed on invented data are not
-metrics.
+metrics. ``train_on_rows`` builds the training set from analysis rows and
+their labels: the environment columns of ``baseline.env_matrix``, then the
+commit features, whose binary ones are named in ``BINARY_FEATURE_NAMES``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import ClassVar
+from typing import ClassVar, Sequence
 
 import numpy as np
 
+from .assemble import AnalysisRow
+from .baseline import chronological_split, env_matrix
+from .commitcat import BINARY_FEATURE_NAMES, FEATURE_NAMES, CommitFeatures
 from .errors import ConfigError, DataError
+from .residual import DegradationLabel
 from .trees import Forest, Vectorizer, grow_tree, load_ensemble
 
 _LEAF_HESSIAN_FLOOR = 1e-6
@@ -213,11 +219,10 @@ def decision_function(model: RiskModel, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != len(model.vectorizer.columns):
         raise DataError("prediction input has wrong number of columns")
-    leaves = model.trees.leaf_values(X)
-    f = np.full(X.shape[0], model.f0, dtype=float)
-    for j in range(leaves.shape[1]):  # in tree order; another order rounds differently
-        f += model.params.learning_rate * leaves[:, j]
-    return f
+    # summed over the first axis of leaf_values' (n_trees, n_rows) block, in
+    # tree order as a tree-by-tree sum; another order rounds differently
+    block = model.trees.leaf_values(X).T
+    return np.add.reduce(model.params.learning_rate * block, axis=0, initial=model.f0)
 
 
 def predict_proba(model: RiskModel, X: np.ndarray) -> np.ndarray:
@@ -242,6 +247,7 @@ class ClassifierMetrics:
     negative: ClassReport
     accuracy: float
     confusion: dict[str, int]  # tp, fp, fn, tn (positive = degraded = 1)
+    auc: float | None = None  # set by evaluate_classifier when both classes are present
 
 
 def _report(tp: int, fp: int, fn: int) -> ClassReport:
@@ -272,9 +278,11 @@ def metrics_from_predictions(y_true: np.ndarray, y_pred: np.ndarray) -> Classifi
 
 
 def evaluate_classifier(model: RiskModel, X: np.ndarray, y: np.ndarray) -> ClassifierMetrics:
-    """Metrics of the model's calls at a probability of 0.5."""
-    proba = predict_proba(model, np.asarray(X, float))
-    return metrics_from_predictions(np.asarray(y, int), (proba >= 0.5).astype(int))
+    """Metrics of the model's calls at a probability of 0.5, and its AUC
+    when ``y`` holds both classes."""
+    proba, y = predict_proba(model, np.asarray(X, float)), np.asarray(y, int)
+    metrics = metrics_from_predictions(y, (proba >= 0.5).astype(int))
+    return replace(metrics, auc=roc_auc(y, proba)) if len(set(y.tolist())) == 2 else metrics
 
 
 def roc_auc(y_true: np.ndarray, scores: np.ndarray) -> float:
@@ -304,6 +312,42 @@ def roc_auc(y_true: np.ndarray, scores: np.ndarray) -> float:
     rank_sum_pos = float(np.sum(ranks[y_true == 1]))
     u = rank_sum_pos - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)
+
+
+# ---------------------------------------------------------------------------
+# the stages' row-level steps
+
+
+def train_on_rows(
+    rows: Sequence[AnalysisRow], labels: Sequence[DegradationLabel], params: RiskParams,
+    seed: int, test_fraction: float,
+) -> tuple[RiskModel, ClassifierMetrics, int]:
+    """A model of which tests ``labels`` call degraded, trained on the
+    earliest rows balanced by oversampling, its metrics on the latest
+    ``test_fraction`` of them, and how many rows it was trained on."""
+    degraded = {(label.day, label.time): label.degraded for label in labels}
+    unlabeled = [row for row in rows if (row.day, row.time) not in degraded]
+    if unlabeled:
+        raise DataError(f"no label for test {unlabeled[0].day}/{unlabeled[0].time}")
+    y = np.array([degraded[row.day, row.time] for row in rows], dtype=int)
+    train_idx, test_idx = chronological_split(len(rows), test_fraction)
+    matrix = env_matrix([rows[i] for i in train_idx], FEATURE_NAMES)
+    binary = tuple(matrix.vectorizer.columns.index(name) for name in BINARY_FEATURE_NAMES)
+    X, y_bal, synthetic = balance_training_set(matrix.values, y[train_idx], params, seed, binary)
+    model = train_risk(X, y_bal, params, seed, matrix.vectorizer)
+    model.meta["n_synthetic"] = int(synthetic.sum())
+    X_test = model.vectorizer.transform([{**rows[i].env, **rows[i].commit} for i in test_idx])
+    return model, evaluate_classifier(model, X_test, y[test_idx]), len(train_idx)
+
+
+def score_commits(
+    model: RiskModel, features: Sequence[CommitFeatures], threshold: float
+) -> list[tuple[str, float, bool]]:
+    """Each commit's risk, and whether it reaches ``threshold``, riskiest
+    first. Environment columns, absent here, take their fill values."""
+    proba = predict_proba(model, model.vectorizer.transform([f.as_dict() for f in features]))
+    scored = [(f.commit_hash, p, p >= threshold) for f, p in zip(features, proba.tolist())]
+    return sorted(scored, key=lambda r: (-r[1], r[0]))
 
 
 # ---------------------------------------------------------------------------

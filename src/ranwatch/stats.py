@@ -83,22 +83,17 @@ class VarianceReport:
     n_groups: int
 
 
-def _joint_keys(columns: Sequence[Sequence]) -> list[tuple]:
-    n = len(columns[0])
+def _group_means(y: np.ndarray, columns: Sequence[Sequence]) -> tuple[np.ndarray, int]:
+    """Each row's mean of ``y`` over the rows that share its label in every
+    column, and the number of such groups. Rows get integer group codes, and
+    ``np.bincount`` sums each group in row order."""
+    codes = np.zeros(y.size, dtype=np.int64)
     for col in columns:
-        if len(col) != n:
+        labels = np.unique(np.asarray(col), return_inverse=True)[1]
+        if labels.shape != y.shape:
             raise DataError("factor columns must share the target's length")
-    return list(zip(*columns))
-
-
-def _group_mean_column(y: np.ndarray, keys: list[tuple]) -> np.ndarray:
-    sums: dict[tuple, float] = {}
-    counts: dict[tuple, int] = {}
-    for key, value in zip(keys, y):
-        sums[key] = sums.get(key, 0.0) + value
-        counts[key] = counts.get(key, 0) + 1
-    means = {key: sums[key] / counts[key] for key in sums}
-    return np.array([means[key] for key in keys], dtype=float)
+        codes = np.unique(codes * (labels.max() + 1) + labels, return_inverse=True)[1]
+    return (np.bincount(codes, weights=y) / np.bincount(codes))[codes], int(codes.max()) + 1
 
 
 def _pop_var(values: np.ndarray) -> float:
@@ -113,10 +108,11 @@ def variance_explained(
 ) -> VarianceReport:
     """Share of Var(y) explained by the factor beyond the conditioning set.
 
-    Factor and conditioning inputs are label columns (any hashable values);
-    joint categories are tuples across columns. With an empty conditioning
-    set the subtracted term is zero and the score reduces to the plain
-    between-group variance share.
+    Factor and conditioning inputs are label columns, each of numbers or of
+    strings; a joint category is one combination of labels across columns.
+    With an empty conditioning set the subtracted term is zero and the score
+    reduces to the plain between-group variance share. A target whose
+    variance overflows a float is a DataError.
     """
     y_arr = np.asarray(y, dtype=float)
     if y_arr.ndim != 1 or y_arr.size == 0:
@@ -125,21 +121,19 @@ def variance_explained(
         raise DataError("target contains non-finite values")
     if not factor_columns:
         raise DataError("at least one factor column is required")
-    var_y = _pop_var(y_arr)
+    with np.errstate(over="ignore"):
+        var_y = _pop_var(y_arr)
     if var_y <= 0.0:
         raise DataError("target has zero variance")
+    if not math.isfinite(var_y):
+        raise DataError("target variance overflows a float")
 
-    joint = _joint_keys(list(conditioning_columns) + list(factor_columns))
-    e_full = _group_mean_column(y_arr, joint)
+    e_full, n_groups = _group_means(y_arr, list(conditioning_columns) + list(factor_columns))
+    var_cond = 0.0
     if conditioning_columns:
-        cond_keys = _joint_keys(list(conditioning_columns))
-        e_cond = _group_mean_column(y_arr, cond_keys)
-        var_cond = _pop_var(e_cond)
-    else:
-        var_cond = 0.0
-
+        var_cond = _pop_var(_group_means(y_arr, conditioning_columns)[0])
     score = (_pop_var(e_full) - var_cond) / var_y
-    return VarianceReport(score=float(score), n_rows=int(y_arr.size), n_groups=len(set(joint)))
+    return VarianceReport(score=float(score), n_rows=int(y_arr.size), n_groups=n_groups)
 
 
 # ---------------------------------------------------------------------------

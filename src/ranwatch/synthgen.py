@@ -29,6 +29,10 @@ from .errors import ConfigError
 from .store import decode, write_records
 
 LOAD_HIGH_MBPS = 50.0  # loads at or above this emit scheduler warnings
+DEPLOY_LEAD = dt.timedelta(seconds=300)  # a commit deploys this long before its first test
+MAX_EFFICIENCY = 1.2  # measured efficiency is clamped to [0, this]
+N_INTERVALS = 10  # iPerf report intervals per test
+INTERVAL_SPREAD = 0.02  # each interval's bit rate is off the mean by up to this fraction
 
 IPERF_HEADER = (
     "interval_start",
@@ -130,12 +134,25 @@ class ScenarioSpec:
             raise ConfigError("scenario needs at least one commit and one test")
         if self.test_interval_hours <= 0:
             raise ConfigError("test interval must be positive")
-        if not self.loads or any(l <= 0 for l in self.loads):
+        if not self.loads or not all(l > 0 for l in self.loads):
             raise ConfigError("loads must be positive")
+        # the bit rates of one test's CSV, and their sum, must be floats
+        if not math.isfinite(max(self.loads) * 1e6 * MAX_EFFICIENCY * (1 + INTERVAL_SPREAD)
+                             * N_INTERVALS):
+            raise ConfigError(f"loads: {max(self.loads)} Mbps overflows the bit rates written")
         if self.noise_std < 0 or self.rsrp_jitter < 0:
             raise ConfigError("noise_std and rsrp_jitter must be >= 0")
         if self.bler_decay <= 0 or self.kpm_reports < 1:
             raise ConfigError("bler_decay must be positive and kpm_reports at least 1")
+        try:  # the first deployment and the last test must have dates
+            start = dt.datetime.fromisoformat(self.start_time)
+            last = (self.n_commits * self.tests_per_commit - 1) * dt.timedelta(
+                hours=self.test_interval_hours)
+            start - DEPLOY_LEAD, start + last
+        except (OverflowError, ValueError):
+            raise ConfigError(
+                f"tests every {self.test_interval_hours} test_interval_hours from start_time "
+                f"{self.start_time} run outside the years 1 to 9999") from None
         seen = set()
         for inj in self.injections:
             if not (0 <= inj.commit_index < self.n_commits):
@@ -225,7 +242,7 @@ def generate(spec: ScenarioSpec, out_dir: str | Path) -> GeneratedCorpus:
         lines_deleted = int(rng.integers(0, 200))
 
         first_test = start + (commit_index * spec.tests_per_commit) * interval
-        deploy_time = first_test - dt.timedelta(seconds=300)
+        deploy_time = first_test - DEPLOY_LEAD
         commit_records.append(
             {
                 "kind": "commit",
@@ -266,29 +283,29 @@ def generate(spec: ScenarioSpec, out_dir: str | Path) -> GeneratedCorpus:
             degraded = injection is not None and test_index >= injection.onset_delay
             multiplier = (1.0 - injection.drop) if degraded else 1.0
             measured_eff = expected * multiplier + float(rng.normal(0.0, spec.noise_std))
-            measured_eff = min(1.2, max(0.0, measured_eff))
+            measured_eff = min(MAX_EFFICIENCY, max(0.0, measured_eff))
 
             test_dir = dataset_dir / stamp.strftime("%Y%m%d") / stamp.strftime("%H%M%S")
             test_dir.mkdir(parents=True, exist_ok=True)
 
             # ---- iPerf CSV -------------------------------------------------
-            n_intervals = 10
             bps = [
-                measured_eff * load * 1e6 * (1.0 + float(rng.uniform(-0.02, 0.02)))
-                for _ in range(n_intervals)
+                measured_eff * load * 1e6
+                * (1.0 + float(rng.uniform(-INTERVAL_SPREAD, INTERVAL_SPREAD)))
+                for _ in range(N_INTERVALS)
             ]
             byte_counts = [int(b / 8.0) for b in bps]
             jitters = [
                 _round_as_written(
                     max(0.05, float(rng.normal(1.5 * (1.0 + load / 200.0), 0.2))), 3
                 )
-                for _ in range(n_intervals)
+                for _ in range(N_INTERVALS)
             ]
             loss_frac = min(1.0, 0.5 * dl_bler + float(rng.uniform(0.0, 0.01)))
             totals = [max(1, int(b / 1200)) for b in byte_counts]
             losses = [int(round(loss_frac * t)) for t in totals]
             csv_lines = [",".join(IPERF_HEADER)]
-            for i in range(n_intervals):
+            for i in range(N_INTERVALS):
                 csv_lines.append(
                     f"{float(i)!r},{float(i + 1)!r},{byte_counts[i]},{bps[i]!r},"
                     f"{jitters[i]!r},{losses[i]},{totals[i]}"

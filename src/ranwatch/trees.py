@@ -191,44 +191,38 @@ class Forest:
 def _best_split(
     X: np.ndarray,
     y: np.ndarray,
-    w: np.ndarray,
     rows: np.ndarray,
     features: np.ndarray,
     min_samples_leaf: int,
 ) -> tuple[int, float] | None:
     """SSE-optimal (feature, threshold) over candidate features."""
-    w_node = w[rows]
     y_node = y[rows]
-    total_w = w_node.sum()
-    total_wy = float(np.dot(w_node, y_node))
-    total_wy2 = float(np.dot(w_node, y_node * y_node))
-    parent_sse = total_wy2 - total_wy * total_wy / total_w
-
-    best_gain = 1e-12  # splits must strictly reduce the weighted SSE
-    best: tuple[int, float] | None = None
     n = rows.size
+    # sums are dot products with ones, which round unlike y.sum(); the trees depend on it
+    ones = np.ones(n)
+    total_y = float(np.dot(ones, y_node))
+    total_y2 = float(np.dot(ones, y_node * y_node))
+    parent_sse = total_y2 - total_y * total_y / n
+
+    best_gain = 1e-12  # splits must strictly reduce the SSE
+    best: tuple[int, float] | None = None
+    cut = np.arange(1, n)  # left side takes the first `cut` sorted rows
     for f in features:
         xs = X[rows, f]
         order = np.argsort(xs, kind="stable")
         xs_sorted = xs[order]
         if xs_sorted[0] == xs_sorted[-1]:
             continue
-        w_sorted = w_node[order]
-        wy_sorted = w_sorted * y_node[order]
-        wy2_sorted = wy_sorted * y_node[order]
-        cw = np.cumsum(w_sorted)
-        cwy = np.cumsum(wy_sorted)
-        cwy2 = np.cumsum(wy2_sorted)
+        y_sorted = y_node[order]
+        cy = np.cumsum(y_sorted)[:-1]
+        cy2 = np.cumsum(y_sorted * y_sorted)[:-1]
 
-        cut = np.arange(1, n)  # left side takes the first `cut` sorted rows
         valid = xs_sorted[1:] > xs_sorted[:-1]
         valid &= (cut >= min_samples_leaf) & (n - cut >= min_samples_leaf)
         if not valid.any():
             continue
-        lw = cw[:-1]
-        rw = total_w - lw
-        sse_left = cwy2[:-1] - cwy[:-1] ** 2 / lw
-        sse_right = (total_wy2 - cwy2[:-1]) - (total_wy - cwy[:-1]) ** 2 / rw
+        sse_left = cy2 - cy**2 / cut
+        sse_right = (total_y2 - cy2) - (total_y - cy) ** 2 / (n - cut)
         gain = parent_sse - sse_left - sse_right
         gain[~valid] = -np.inf
         pos = int(np.argmax(gain))  # first occurrence wins ties
@@ -256,8 +250,6 @@ def grow_tree(
     (data, hyperparameters, rng state).
     """
     n, d = X.shape
-    # every row weighs 1; sums stay dot products with these ones, which round unlike y.sum()
-    w = np.ones(n, dtype=float)
 
     feature: list[int] = []
     threshold: list[float] = []
@@ -271,8 +263,8 @@ def grow_tree(
         threshold.append(0.0)
         left.append(node)
         right.append(node)
-        w_rows = w[rows]
-        value.append(float(np.dot(w_rows, y[rows]) / w_rows.sum()))
+        # a dot product with ones, which rounds unlike y.sum(); the trees depend on it
+        value.append(float(np.dot(np.ones(rows.size), y[rows]) / rows.size))
         return node
 
     root_rows = np.arange(n)
@@ -287,7 +279,7 @@ def grow_tree(
             candidates = rng.choice(d, size=n_candidate_features, replace=False)
         else:
             candidates = np.arange(d)
-        split = _best_split(X, y, w, rows, candidates, min_samples_leaf)
+        split = _best_split(X, y, rows, candidates, min_samples_leaf)
         if split is None:
             continue
         f, thr = split

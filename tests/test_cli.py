@@ -366,7 +366,8 @@ _BAD_SCENARIO_VALUES = [("scenario", key, value) for key, value in {
     "commit_index": 1.0, "layers": {"PDCP": 1}, "drop": "0.4", "onset_delay": 0.5,
 }.items()] + [("scenario", key, value) for key, value in [
     ("seed", -1), ("start_time", "x"), ("rsrp_jitter", -1.0), ("bler_decay", 0.0),
-    ("kpm_reports", 0),
+    ("kpm_reports", 0), ("test_interval_hours", 1e308), ("start_time", "9999-12-31T00:00:00"),
+    ("loads", [1e308]),
 ]]
 
 
@@ -383,6 +384,7 @@ def test_scenario_value_of_the_wrong_type_or_range_exits_2(tmp_path, capsys, whe
     assert main(["synth", "--scenario", str(path), "--out", str(tmp_path / "c")]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "config error:" in err and key in err
+    assert not (tmp_path / "c").exists()
 
 
 _BASELINE_KEYS = [
@@ -724,6 +726,20 @@ def test_failed_stage_keeps_the_previous_output(pipeline, tmp_path, capsys):
     assert "data error:" in capsys.readouterr().err
     assert out.read_bytes() == b"previous good output\n"
     assert [f.name for f in tmp_path.iterdir()] == ["out"]
+
+
+def test_decompose_refuses_a_variance_that_overflows(pipeline, tmp_path, capsys):
+    records = read_records(pipeline["paths"]["rows"])
+    records[0]["efficiency"] = 1e308
+    rows = tmp_path / "rows.jsonl"
+    rows.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    out = tmp_path / "out"
+    out.write_bytes(b"previous good output\n")
+    argv = _stage_argv(pipeline, "decompose", tmp_path, analysis_row=rows)
+    assert main(argv) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "data error:" in err and "efficiency" in err
+    assert out.read_bytes() == b"previous good output\n"
 
 
 def test_report_floors_flag_beats_the_config_file(pipeline, tmp_path, capsys):

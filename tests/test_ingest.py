@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import datetime as dt
+import random
 
 import pytest
 
@@ -21,6 +22,7 @@ from ranwatch.ingest import (
     scan_dataset,
     target_rate_from_name,
 )
+from ranwatch import store
 from ranwatch.store import CommitMeta
 
 CSV_HEADER = "interval_start,interval_end,bytes,bits_per_second,jitter_ms,lost_packets,total_packets"
@@ -326,3 +328,41 @@ def test_assign_commit_latest_at_or_before():
     assert assign_commit(early, commits) is None
     boundary = TestId(dt.date(2025, 1, 5), dt.time(0, 0, 0))
     assert assign_commit(boundary, commits).hash == "bb"
+
+
+def _assign_linear(test_id, commits):
+    """The rule assign_commit implements, as a scan from the first commit."""
+    best = None
+    for meta in commits:
+        if meta.deploy_epoch > test_id.epoch:
+            break
+        best = meta
+    return best
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_assign_commit_matches_a_linear_scan(seed):
+    rng = random.Random(seed)
+    start = dt.datetime(2025, 1, 1)
+    # few distinct hours, so several commits often share a deploy time
+    stamps = [start + dt.timedelta(hours=rng.randrange(12)) for _ in range(rng.randrange(1, 9))]
+    stamps.append(stamps[0])
+    commits = sorted(
+        (_meta(f"{i:02x}", stamp.isoformat()) for i, stamp in enumerate(stamps)),
+        key=lambda m: (m.deploy_epoch, m.hash),
+    )
+    for hours in [-1, *range(13)]:  # one test before the first commit
+        stamp = start + dt.timedelta(hours=hours, minutes=rng.choice([0, 0, 30]))
+        test_id = TestId(stamp.date(), stamp.time())
+        assert assign_commit(test_id, commits) is _assign_linear(test_id, commits)
+
+
+def test_assign_commit_reads_few_deploy_times(monkeypatch):
+    start = dt.datetime(2025, 1, 1)
+    commits = [_meta(f"{i:04x}", (start + dt.timedelta(hours=i)).isoformat()) for i in range(1024)]
+    calls = []
+    parse = store.naive_epoch
+    monkeypatch.setattr(store, "naive_epoch", lambda value: calls.append(value) or parse(value))
+    late = start + dt.timedelta(days=365)
+    assert assign_commit(TestId(late.date(), late.time()), commits) is commits[-1]
+    assert len(calls) <= 11  # a bisection's comparisons, not one per commit

@@ -90,6 +90,11 @@ def test_zero_variance_target_rejected():
         variance_explained(np.ones(5), [np.arange(5)])
 
 
+def test_target_variance_that_overflows_is_rejected():
+    with pytest.raises(DataError, match="overflows"):
+        variance_explained([1e308, 0.5, 0.4], [[0, 1, 1]])
+
+
 @given(
     data=st.lists(
         st.floats(min_value=-100, max_value=100, allow_nan=False),
